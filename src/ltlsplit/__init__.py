@@ -47,15 +47,6 @@ from .engine import (
     ltl_sat,
     to_nnf,
 )
-from .brute import (
-    EnumerationBudgetError,
-    TraceSet,
-    align,
-    bounded_sat,
-    set_join,
-    set_project,
-    trace_set,
-)
 from .decompose import (
     Block,
     InvariantViolation,

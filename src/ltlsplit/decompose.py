@@ -17,9 +17,6 @@ from .formula import Formula, dependence_query, lock_conjunct
 from .parser import Spec
 from .traces import LassoTrace, compute_z
 
-ORDER_POLICIES = ("decl", "lex")
-
-
 class InvariantViolation(Exception):
     """A Sat witness yielded an empty disagreement set; engine soundness bug."""
 
@@ -87,76 +84,71 @@ def check_independent(phi: Formula, w, s, solver=None) -> tuple[bool, LassoTrace
     return (not result.is_sat, result.witness)
 
 
+def _disagreement(witness: LassoTrace, y) -> tuple[str, ...]:
+    """Disagreement set of a Sat witness over ``y``; empty means an engine fault."""
+    z_set = compute_z(witness, y)
+    if not z_set:
+        raise InvariantViolation("Sat witness produced an empty disagreement set")
+    return z_set
+
+
 def look_for_dependent_variables(phi: Formula, query: Formula,
                                  z_set, w, y, session: _Session) -> tuple[str, ...]:
     """Grow the dependent block ``w`` one confirmed variable at a time.
 
     Precondition: the last solve of ``query`` was Sat and ``z_set`` is the
-    disagreement set of that witness over ``y``.  Locks candidates from
-    ``z_set`` until the query goes Unsat, commits the last locked
-    variable, rebuilds the query from ``phi`` alone and recurses while
-    models remain.
+    (nonempty) disagreement set of that witness over ``y``.  Locks
+    candidates from ``z_set`` until the query goes Unsat, commits the last
+    locked variable, rebuilds the query from ``phi`` alone and repeats
+    while models remain.
     """
     w = tuple(w)
     y = tuple(y)
     z_set = tuple(z_set)
-    locked_query = query
-    z = None
     while True:
-        if not z_set:
-            raise InvariantViolation(
-                "Sat witness produced an empty disagreement set")
-        z = z_set[0]
-        locked_query = lock_conjunct(locked_query, z)
-        result = session.solve(locked_query)
+        locked_query = query
+        while True:
+            z = z_set[0]
+            locked_query = lock_conjunct(locked_query, z)
+            result = session.solve(locked_query)
+            if not result.is_sat:
+                break
+            z_set = _disagreement(result.witness, y)
+        w = w + (z,)
+        y = tuple(v for v in y if v != z)
+        query = dependence_query(phi, w, y)
+        result = session.solve(query)
         if not result.is_sat:
-            break
-        z_set = compute_z(result.witness, y)
-    w = w + (z,)
-    y = tuple(v for v in y if v != z)
-    rebuilt = dependence_query(phi, w, y)
-    result = session.solve(rebuilt)
-    if result.is_sat:
-        z_set = compute_z(result.witness, y)
-        if not z_set:
-            raise InvariantViolation(
-                "Sat witness produced an empty disagreement set")
-        return look_for_dependent_variables(phi, rebuilt, z_set, w, y, session)
-    return w
-
-
-def _partition_rec(phi: Formula, sys_vars: tuple[str, ...],
-                   full_sys: tuple[str, ...], session: _Session) -> list[Block]:
-    if not sys_vars:
-        return []
-    rest_full = lambda w: tuple(v for v in full_sys if v not in set(w))
-    if len(sys_vars) == 1:
-        # A single remaining variable is independent; no solver call needed.
-        w = sys_vars
-        return [Block(w, dependence_query(phi, w, rest_full(w)))]
-    x = sys_vars[0]
-    others = sys_vars[1:]
-    query = dependence_query(phi, (x,), others)
-    result = session.solve(query)
-    if not result.is_sat:
-        w = (x,)
-        certificate = query
-    else:
-        z_set = compute_z(result.witness, others)
-        if not z_set:
-            raise InvariantViolation(
-                "Sat witness produced an empty disagreement set")
-        w = look_for_dependent_variables(phi, query, z_set, (x,), others, session)
-        certificate = session.log[-1].formula
-    remaining = tuple(v for v in sys_vars if v not in set(w))
-    return [Block(w, certificate)] + _partition_rec(phi, remaining, full_sys, session)
+            return w
+        z_set = _disagreement(result.witness, y)
 
 
 def partition(spec: Spec, solver=None, order: str = "decl") -> PartitionResult:
     """Split the system variables into minimal independent blocks."""
     session = _Session(solver or InternalSolver())
-    sys_vars = _ordered(spec.sys, order)
-    blocks = _partition_rec(spec.formula, sys_vars, sys_vars, session)
+    phi = spec.formula
+    full_sys = _ordered(spec.sys, order)
+    sys_vars = full_sys
+    blocks: list[Block] = []
+    while sys_vars:
+        if len(sys_vars) == 1:
+            # A single remaining variable is independent; no solver call needed.
+            w = sys_vars
+            certificate = dependence_query(
+                phi, w, tuple(v for v in full_sys if v not in w))
+        else:
+            x, others = sys_vars[0], sys_vars[1:]
+            query = dependence_query(phi, (x,), others)
+            result = session.solve(query)
+            if not result.is_sat:
+                w, certificate = (x,), query
+            else:
+                w = look_for_dependent_variables(
+                    phi, query, _disagreement(result.witness, others),
+                    (x,), others, session)
+                certificate = session.log[-1].formula
+        blocks.append(Block(w, certificate))
+        sys_vars = tuple(v for v in sys_vars if v not in w)
     covered = list(chain.from_iterable(b.vars for b in blocks))
     assert sorted(covered) == sorted(spec.sys), "blocks must partition sys exactly"
     assert len(covered) == len(set(covered)), "blocks must be pairwise disjoint"

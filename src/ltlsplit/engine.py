@@ -2,16 +2,18 @@
 
 Pipeline: negation normal form -> generalized Buchi automaton (tableau
 over closure subsets) -> SCC-based emptiness check -> accepting lasso
-read back as a trace.  Every Sat answer is self-checked against the
-queried formula before it is returned; a failure here is an engine bug,
-never a caller error.
+read back as a trace.  The tableau registers only the initial states and
+successors of registered states, so every automaton state is reachable
+and emptiness needs no separate reachability pass.  Every Sat answer is
+self-checked against the queried formula before it is returned; a
+failure here is an engine bug, never a caller error.
 """
 
 from __future__ import annotations
 
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .formula import (
     FALSE,
@@ -31,7 +33,6 @@ from .formula import (
     TrueF,
     Until,
     print_formula,
-    walk,
 )
 from .traces import LassoTrace, eval_formula, format_trace, parse_trace
 
@@ -119,27 +120,11 @@ def to_nnf(f: Formula) -> Formula:
     raise TypeError(f"unknown formula node {f!r}")
 
 
-def _is_nnf(f: Formula) -> bool:
-    return all(isinstance(n.arg, Atom) for n in walk(f) if isinstance(n, Not)) and not any(
-        isinstance(n, (Implies, Iff, Eventually, Always)) for n in walk(f))
-
-
-def _negate_literal(f: Formula) -> Formula | None:
-    if isinstance(f, Atom):
-        return Not(f)
-    if isinstance(f, Not):
-        return f.arg
-    return None
-
-
 @dataclass
 class GbaState:
-    index: int
-    formulas: frozenset[Formula]
     pos: tuple[Atom, ...]
     neg: tuple[Atom, ...]
-    initial: bool = False
-    succ: list[int] = field(default_factory=list)
+    succ: list[int]
 
 
 @dataclass
@@ -148,7 +133,9 @@ class Gba:
 
     A run q0 q1 ... reads the word whose letter i satisfies q_i's guard
     (``pos`` atoms true, ``neg`` atoms false, the rest unconstrained).
-    Acceptance carries one state set per Until subformula.
+    Acceptance carries one state set per Until subformula.  Every state
+    is reachable from ``initial``: ``build_gba`` registers only initial
+    states and successors of registered states.
     """
 
     states: list[GbaState]
@@ -167,6 +154,7 @@ class _Arena:
         self.kind: list[int] = []
         self.left: list[int] = []       # child id, or atom slot for literals
         self.right: list[int] = []      # second child id, or literal polarity
+        self.comp: list[int] = []       # complementary literal id, or -1
         self.formulas: list[Formula] = []
 
     def intern(self, f: Formula) -> int:
@@ -196,14 +184,13 @@ class _Arena:
         self.kind.append(kind)
         self.left.append(a)
         self.right.append(b)
+        self.comp.append(-1)
         self.formulas.append(f)
+        if kind == self.LIT:
+            other = self.ids.get(f.arg if b == 0 else Not(f))
+            if other is not None:
+                self.comp[fid], self.comp[other] = other, fid
         return fid
-
-    def negation_of(self, lit: int) -> int:
-        """Id of the complementary literal, or -1 if absent from the closure."""
-        f = self.formulas[lit]
-        comp = f.arg if isinstance(f, Not) else Not(f)
-        return self.ids.get(comp, -1)
 
 
 class _Node:
@@ -217,13 +204,13 @@ class _Node:
 
 
 def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
-    """Tableau construction; ``f`` must be in negation normal form."""
-    if not _is_nnf(f):
-        raise ValueError("build_gba requires a formula in negation normal form")
+    """Tableau construction; ``f`` must be in negation normal form.
 
+    Raises ``ValueError`` (from interning) on a formula outside NNF.
+    """
     arena = _Arena()
     root = arena.intern(f)
-    kind, left, right = arena.kind, arena.left, arena.right
+    kind, left, right, comp = arena.kind, arena.left, arena.right, arena.comp
     LIT, AND, OR, NEXT = _Arena.LIT, _Arena.AND, _Arena.OR, _Arena.NEXT
     UNTIL, RELEASE = _Arena.UNTIL, _Arena.RELEASE
 
@@ -251,7 +238,7 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
                 if k == _Arena.FALSE:
                     node = None
                 elif k == LIT:
-                    if arena.negation_of(g) in node.old:
+                    if comp[g] in node.old:
                         node = None
                     else:
                         node.old.add(g)
@@ -302,64 +289,41 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
             order.append(key)
         return idx
 
-    initial_keys = cover(frozenset((root,)))
-    initial = tuple(state_id(key) for key in initial_keys)
-    succs: list[list[int] | None] = []
-    scan = 0
-    while scan < len(order):
-        while len(succs) < len(order):
-            succs.append(None)
-        key = order[scan]
-        succs[scan] = sorted({state_id(k) for k in cover(key[1])})
-        scan += 1
+    initial = tuple(state_id(key) for key in cover(frozenset((root,))))
+    succs: list[list[int]] = []
+    while len(succs) < len(order):
+        succs.append(sorted({state_id(k) for k in cover(order[len(succs)][1])}))
 
+    formulas = arena.formulas
+    atom_of = lambda fid: formulas[fid] if right[fid] else formulas[fid].arg
     states: list[GbaState] = []
-    initial_set = set(initial)
-    atom_key = lambda fid: ((arena.formulas[fid].base, arena.formulas[fid].primed)
-                            if right[fid] else
-                            (arena.formulas[fid].arg.base, arena.formulas[fid].arg.primed))
-    for idx, key in enumerate(order):
-        literals = sorted((x for x in key[0] if kind[x] == LIT), key=atom_key)
-        pos = tuple(arena.formulas[x] for x in literals if right[x])
-        neg = tuple(arena.formulas[x].arg for x in literals if not right[x])
-        formulas = frozenset(arena.formulas[x] for x in key[0])
-        states.append(GbaState(idx, formulas, pos, neg,
-                               initial=idx in initial_set, succ=succs[idx]))
+    for (old, _), succ in zip(order, succs):
+        literals = sorted((x for x in old if kind[x] == LIT),
+                          key=lambda x: (atom_of(x).base, atom_of(x).primed))
+        states.append(GbaState(tuple(formulas[x] for x in literals if right[x]),
+                               tuple(formulas[x].arg for x in literals if not right[x]),
+                               succ))
 
     untils = sorted(fid for fid in range(len(kind)) if kind[fid] == UNTIL)
     acceptance = tuple(
         frozenset(idx for idx, key in enumerate(order)
                   if g not in key[0] or right[g] in key[0])
         for g in untils)
-    initial = tuple(st.index for st in states if st.initial)
     return Gba(states, initial, acceptance)
 
 
-def _reachable(gba: Gba) -> set[int]:
-    seen = set(gba.initial)
-    frontier = list(gba.initial)
-    while frontier:
-        nxt = []
-        for i in frontier:
-            for j in gba.states[i].succ:
-                if j not in seen:
-                    seen.add(j)
-                    nxt.append(j)
-        frontier = nxt
-    return seen
-
-
-def _sccs(gba: Gba, restrict: set[int]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, over the restricted node set."""
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
+def _sccs(gba: Gba) -> list[list[int]]:
+    """Tarjan's algorithm, iterative, over all states."""
+    n = len(gba.states)
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
 
-    for root in sorted(restrict):
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         work = [(root, 0)]
         while work:
@@ -368,18 +332,18 @@ def _sccs(gba: Gba, restrict: set[int]) -> list[list[int]]:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack.add(v)
+                on_stack[v] = True
             advanced = False
-            succ = [w for w in gba.states[v].succ if w in restrict]
+            succ = gba.states[v].succ
             while pi < len(succ):
                 w = succ[pi]
                 pi += 1
-                if w not in index:
+                if index[w] < 0:
                     work[-1] = (v, pi)
                     work.append((w, 0))
                     advanced = True
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[v] = min(low[v], index[w])
             if advanced:
                 continue
@@ -388,7 +352,7 @@ def _sccs(gba: Gba, restrict: set[int]) -> list[list[int]]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
+                    on_stack[w] = False
                     comp.append(w)
                     if w == v:
                         break
@@ -431,16 +395,16 @@ def _bfs_path(gba: Gba, sources, targets: set[int], restrict: set[int] | None,
 
 
 def find_accepting_lasso(gba: Gba) -> SatResult:
-    """Unsat iff no reachable cycle visits every acceptance set.
+    """Unsat iff no cycle visits every acceptance set.
 
-    Otherwise returns a lasso trace read off the guards of a reachable
-    accepting cycle; unconstrained atoms in a guard default to false.
+    Otherwise returns a lasso trace read off the guards of an accepting
+    cycle; unconstrained atoms in a guard default to false.  Relies on
+    the ``Gba`` invariant that every state is reachable from ``initial``.
     """
-    reachable = _reachable(gba)
-    if not reachable:
+    if not gba.initial:
         return UNSAT
     target_scc = None
-    for comp in _sccs(gba, reachable):
+    for comp in _sccs(gba):
         comp_set = set(comp)
         has_edge = any(w in comp_set for v in comp for w in gba.states[v].succ)
         if not has_edge:

@@ -18,7 +18,6 @@ from ltlsplit import (
     PartitionResult,
     UNSAT,
     atoms,
-    bounded_sat,
     check_independent,
     compute_z,
     dependence_query,
@@ -27,11 +26,10 @@ from ltlsplit import (
     ltl_sat,
     parse_formula,
     partition,
-    set_join,
-    set_project,
     state,
     verify_partition,
 )
+from ltlsplit.brute import bounded_sat, set_join, set_project
 from helpers import FIXTURES, fixture_spec, small_formula, spec_corpus
 from test_brute import random_trace_set, ts
 

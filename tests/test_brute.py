@@ -5,20 +5,22 @@ import random
 import pytest
 
 from ltlsplit import (
-    TraceSet,
     UNSAT,
-    align,
-    bounded_sat,
     dependence_query,
     eval_formula,
     lasso,
     parse_formula,
+    state,
+)
+from ltlsplit.brute import (
+    EnumerationBudgetError,
+    TraceSet,
+    align,
+    bounded_sat,
     set_join,
     set_project,
-    state,
     trace_set,
 )
-from ltlsplit.brute import EnumerationBudgetError
 
 
 class TestBoundedSat:

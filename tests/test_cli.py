@@ -127,6 +127,20 @@ class TestMain:
         assert main([str(intro_file), "--order", "lex"]) == EXIT_OK
         assert "block 2: {v, w, z}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("formula, code", [
+        ("(" * 150 + "a" + ")" * 150, EXIT_INPUT),
+        (" & ".join(["a"] * 1500), EXIT_INPUT),
+        ("X " * 600 + "a", EXIT_ENGINE),
+    ], ids=["parens150", "conj1500", "next600"])
+    def test_deep_nesting_is_an_error_not_a_traceback(self, tmp_path, capsys,
+                                                     formula, code):
+        path = write_spec(tmp_path, "deep.spec",
+                          f"env: p\nsys: a b\nformula: {formula}\n")
+        assert main([str(path)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_empty_sys_partition(self, tmp_path, capsys):
         path = write_spec(tmp_path, "none.spec", "env: p\nsys:\nformula: G p\n")
         assert main([str(path), "--format", "json"]) == EXIT_OK

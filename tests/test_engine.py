@@ -100,11 +100,27 @@ class TestBuildGba:
         with pytest.raises(EngineLimitError):
             build_gba(to_nnf(parse_formula("a | b")), state_cap=1)
 
+    def test_every_state_reachable_from_initial(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            gba = build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 6)))
+            seen = set(gba.initial)
+            frontier = list(gba.initial)
+            while frontier:
+                v = frontier.pop()
+                for w in gba.states[v].succ:
+                    if w not in seen:
+                        seen.add(w)
+                        frontier.append(w)
+            assert seen == set(range(len(gba.states)))
+
     def test_deterministic_construction(self):
         f = to_nnf(dependence_query(INTRO_PHI, ["w"], ["t", "v", "z"]))
         g1, g2 = build_gba(f), build_gba(f)
-        assert [s.formulas for s in g1.states] == [s.formulas for s in g2.states]
-        assert [s.succ for s in g1.states] == [s.succ for s in g2.states]
+        assert ([(s.pos, s.neg, s.succ) for s in g1.states]
+                == [(s.pos, s.neg, s.succ) for s in g2.states])
+        assert g1.initial == g2.initial
+        assert g1.acceptance == g2.acceptance
 
 
 class TestFindAcceptingLasso:
