@@ -112,9 +112,6 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {config.input_path}:{exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:
-        print(f"error: {config.input_path}: formula nested too deeply", file=sys.stderr)
-        return EXIT_INPUT
 
     try:
         solver = config.make_solver()
@@ -124,9 +121,6 @@ def main(argv=None) -> int:
         return EXIT_ENGINE
     except ExternalSolverError as exc:
         print(f"error: external solver: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except RecursionError:
-        print("error: formula nested too deeply for the engine", file=sys.stderr)
         return EXIT_ENGINE
     except (InvariantViolation, WitnessSoundnessError) as exc:
         print(f"fault: {exc}", file=sys.stderr)
@@ -138,7 +132,7 @@ def main(argv=None) -> int:
         try:
             report = verify_partition(spec, result, solver,
                                       minimality=config.audit_minimality)
-        except (EngineLimitError, ExternalSolverError, RecursionError) as exc:
+        except (EngineLimitError, ExternalSolverError) as exc:
             print(f"error: audit: {exc}", file=sys.stderr)
             return EXIT_ENGINE
         audits["soundness"] = all(a.sound is True for a in report.block_audits)

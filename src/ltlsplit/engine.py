@@ -32,6 +32,7 @@ from .formula import (
     Release,
     TrueF,
     Until,
+    postorder,
     print_formula,
 )
 from .traces import LassoTrace, eval_formula, format_trace, parse_trace
@@ -65,59 +66,51 @@ class SatResult:
 UNSAT = SatResult()
 
 
+_DUAL = {And: Or, Or: And, Until: Release, Release: Until}
+
+
 def to_nnf(f: Formula) -> Formula:
-    """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R."""
-    if isinstance(f, (TrueF, FalseF, Atom)):
-        return f
-    if isinstance(f, And):
-        return And(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Or):
-        return Or(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Implies):
-        return Or(to_nnf(Not(f.left)), to_nnf(f.right))
-    if isinstance(f, Iff):
-        return Or(And(to_nnf(f.left), to_nnf(f.right)),
-                  And(to_nnf(Not(f.left)), to_nnf(Not(f.right))))
-    if isinstance(f, Next):
-        return Next(to_nnf(f.arg))
-    if isinstance(f, Eventually):
-        return Until(TRUE, to_nnf(f.arg))
-    if isinstance(f, Always):
-        return Release(FALSE, to_nnf(f.arg))
-    if isinstance(f, Until):
-        return Until(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Release):
-        return Release(to_nnf(f.left), to_nnf(f.right))
-    if isinstance(f, Not):
-        g = f.arg
-        if isinstance(g, TrueF):
-            return FALSE
-        if isinstance(g, FalseF):
-            return TRUE
-        if isinstance(g, Atom):
-            return f
-        if isinstance(g, Not):
-            return to_nnf(g.arg)
-        if isinstance(g, And):
-            return Or(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Or):
-            return And(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Implies):
-            return And(to_nnf(g.left), to_nnf(Not(g.right)))
-        if isinstance(g, Iff):
-            return Or(And(to_nnf(g.left), to_nnf(Not(g.right))),
-                      And(to_nnf(Not(g.left)), to_nnf(g.right)))
-        if isinstance(g, Next):
-            return Next(to_nnf(Not(g.arg)))
-        if isinstance(g, Eventually):
-            return Release(FALSE, to_nnf(Not(g.arg)))
-        if isinstance(g, Always):
-            return Until(TRUE, to_nnf(Not(g.arg)))
-        if isinstance(g, Until):
-            return Release(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-        if isinstance(g, Release):
-            return Until(to_nnf(Not(g.left)), to_nnf(Not(g.right)))
-    raise TypeError(f"unknown formula node {f!r}")
+    """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
+
+    One pass over ``postorder(f)`` maps each node g to (nnf(g), nnf(!g));
+    a node whose children are already in NNF is reused.
+    """
+    nnf: dict[int, tuple[Formula, Formula]] = {}
+    for g in postorder(f):
+        cls = g.__class__
+        if cls is Atom:
+            pair = g, Not(g)
+        elif cls in _DUAL:
+            lp, ln = nnf[id(g.left)]
+            rp, rn = nnf[id(g.right)]
+            same = lp is g.left and rp is g.right
+            pair = g if same else cls(lp, rp), _DUAL[cls](ln, rn)
+        elif cls is Not:
+            p, n = nnf[id(g.arg)]
+            pair = n, p
+        elif cls is Next:
+            p, n = nnf[id(g.arg)]
+            pair = g if p is g.arg else Next(p), Next(n)
+        elif cls is Eventually:
+            p, n = nnf[id(g.arg)]
+            pair = Until(TRUE, p), Release(FALSE, n)
+        elif cls is Always:
+            p, n = nnf[id(g.arg)]
+            pair = Release(FALSE, p), Until(TRUE, n)
+        elif cls is Implies:
+            lp, ln = nnf[id(g.left)]
+            rp, rn = nnf[id(g.right)]
+            pair = Or(ln, rp), And(lp, rn)
+        elif cls is Iff:
+            lp, ln = nnf[id(g.left)]
+            rp, rn = nnf[id(g.right)]
+            pair = Or(And(lp, rp), And(ln, rn)), Or(And(lp, rn), And(ln, rp))
+        elif cls is TrueF or cls is FalseF:
+            pair = (TRUE, FALSE) if cls is TrueF else (FALSE, TRUE)
+        else:
+            raise TypeError(f"unknown formula node {g!r}")
+        nnf[id(g)] = pair
+    return nnf[id(f)][0]
 
 
 @dataclass
@@ -144,53 +137,70 @@ class Gba:
 
 
 class _Arena:
-    """Interns NNF subformulas as dense integers so tableau sets are int sets."""
+    """Interns NNF subformulas as dense integers so tableau sets are int sets.
+
+    Nodes are keyed by kind and child ids, literals by atom and polarity,
+    so equal subformulas share an id without hashing a formula tree.  Ids
+    follow first occurrence in post-order.  The atom under a negative
+    literal gets a positive id too, used or not; where literal ids fall
+    among the others does not change the automaton, because a literal
+    never branches the tableau and the order of the other ids is fixed.
+    """
 
     # kind codes
     TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE = range(8)
 
     def __init__(self):
-        self.ids: dict[Formula, int] = {}
+        self.ids: dict[tuple, int] = {}
         self.kind: list[int] = []
-        self.left: list[int] = []       # child id, or atom slot for literals
+        self.left: list[int] = []       # first child id, or -1
         self.right: list[int] = []      # second child id, or literal polarity
         self.comp: list[int] = []       # complementary literal id, or -1
-        self.formulas: list[Formula] = []
+        self.atom: list[Atom | None] = []   # a literal's atom
+
+    def _add(self, kind: int, a, b: int) -> int:
+        """The id of node (kind, a, b); ``a`` is a literal's atom, else a child id."""
+        key = (kind, a, b)
+        fid = self.ids.get(key)
+        if fid is None:
+            fid = self.ids[key] = len(self.kind)
+            lit = kind == self.LIT
+            self.kind.append(kind)
+            self.left.append(-1 if lit else a)
+            self.right.append(b)
+            self.atom.append(a if lit else None)
+            other = self.ids.get((kind, a, 1 - b), -1) if lit else -1
+            self.comp.append(other)
+            if other >= 0:
+                self.comp[other] = fid
+        return fid
 
     def intern(self, f: Formula) -> int:
-        fid = self.ids.get(f)
-        if fid is not None:
-            return fid
-        if isinstance(f, TrueF):
-            kind, a, b = self.TRUE, -1, -1
-        elif isinstance(f, FalseF):
-            kind, a, b = self.FALSE, -1, -1
-        elif isinstance(f, Atom):
-            kind, a, b = self.LIT, -1, 1
-        elif isinstance(f, Not):
-            if not isinstance(f.arg, Atom):
-                raise ValueError("negation on a non-atom: formula not in NNF")
-            kind, a, b = self.LIT, -1, 0
-        elif isinstance(f, Next):
-            kind, a, b = self.NEXT, self.intern(f.arg), -1
-        elif isinstance(f, (And, Or, Until, Release)):
-            kind = {And: self.AND, Or: self.OR,
-                    Until: self.UNTIL, Release: self.RELEASE}[type(f)]
-            a, b = self.intern(f.left), self.intern(f.right)
-        else:
-            raise ValueError(f"unexpected node in NNF formula: {f!r}")
-        fid = len(self.kind)
-        self.ids[f] = fid
-        self.kind.append(kind)
-        self.left.append(a)
-        self.right.append(b)
-        self.comp.append(-1)
-        self.formulas.append(f)
-        if kind == self.LIT:
-            other = self.ids.get(f.arg if b == 0 else Not(f))
-            if other is not None:
-                self.comp[fid], self.comp[other] = other, fid
-        return fid
+        """Intern ``f`` and its subformulas; return the id of ``f``."""
+        fids: dict[int, int] = {}
+        for g in postorder(f):
+            cls = g.__class__
+            if cls is Atom:
+                fid = self._add(self.LIT, g, 1)
+            elif cls is Not:
+                if g.arg.__class__ is not Atom:
+                    raise ValueError("negation on a non-atom: formula not in NNF")
+                fid = self._add(self.LIT, g.arg, 0)
+            elif cls in _KIND:
+                fid = self._add(_KIND[cls], fids[id(g.left)], fids[id(g.right)])
+            elif cls is Next:
+                fid = self._add(self.NEXT, fids[id(g.arg)], -1)
+            elif cls is TrueF:
+                fid = self._add(self.TRUE, -1, -1)
+            elif cls is FalseF:
+                fid = self._add(self.FALSE, -1, -1)
+            else:
+                raise ValueError(f"unexpected node in NNF formula: {g!r}")
+            fids[id(g)] = fid
+        return fids[id(f)]
+
+
+_KIND = {And: _Arena.AND, Or: _Arena.OR, Until: _Arena.UNTIL, Release: _Arena.RELEASE}
 
 
 class _Node:
@@ -294,14 +304,13 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     while len(succs) < len(order):
         succs.append(sorted({state_id(k) for k in cover(order[len(succs)][1])}))
 
-    formulas = arena.formulas
-    atom_of = lambda fid: formulas[fid] if right[fid] else formulas[fid].arg
+    atom = arena.atom
     states: list[GbaState] = []
     for (old, _), succ in zip(order, succs):
         literals = sorted((x for x in old if kind[x] == LIT),
-                          key=lambda x: (atom_of(x).base, atom_of(x).primed))
-        states.append(GbaState(tuple(formulas[x] for x in literals if right[x]),
-                               tuple(formulas[x].arg for x in literals if not right[x]),
+                          key=lambda x: (atom[x].base, atom[x].primed))
+        states.append(GbaState(tuple(atom[x] for x in literals if right[x]),
+                               tuple(atom[x] for x in literals if not right[x]),
                                succ))
 
     untils = sorted(fid for fid in range(len(kind)) if kind[fid] == UNTIL)

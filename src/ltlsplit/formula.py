@@ -8,7 +8,7 @@ declared variable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Formula:
@@ -92,48 +92,68 @@ class Release(Formula):
 TRUE = TrueF()
 FALSE = FalseF()
 
-_UNARY = (Not, Next, Eventually, Always)
-_BINARY = (And, Or, Implies, Iff, Until, Release)
+# node class -> its text in the surface grammar, for unary and binary nodes
+_UNARY = {Not: "!", Next: "X ", Eventually: "F ", Always: "G "}
+_BINARY = {And: " & ", Or: " | ", Implies: " -> ", Iff: " <-> ", Until: " U ", Release: " R "}
+_CONSTANT = {TrueF: "true", FalseF: "false"}
 
 
-def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, _UNARY):
-        return (f.arg,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    return ()
+def postorder(f: Formula) -> list[Formula]:
+    """Every distinct node object of ``f`` once, children (left to right) first.
 
-
-def walk(f: Formula) -> Iterator[Formula]:
-    """Yield every node of the formula tree (pre-order)."""
-    stack = [f]
+    A node shared by several parents is listed at its first occurrence.
+    The walk keeps its own stack, so depth is bounded by memory, not by
+    the recursion limit; every formula pass in the package uses this list.
+    """
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack: list = [f]
+    pop, emit, mark = stack.pop, order.append, seen.add
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node)))
+        node = pop()
+        if node is None:        # the node beneath this marker has its children listed
+            emit(pop())
+            continue
+        key = id(node)
+        if key in seen:
+            continue
+        mark(key)
+        cls = node.__class__
+        if cls in _BINARY:
+            stack += (node, None, node.right, node.left)
+        elif cls in _UNARY:
+            stack += (node, None, node.arg)
+        else:
+            emit(node)
+    return order
 
 
 def atoms(f: Formula) -> frozenset[Atom]:
     """The exact set of atoms (primed or not) occurring in ``f``."""
-    return frozenset(n for n in walk(f) if isinstance(n, Atom))
-
-
-def _rebuild(f: Formula, new_children: tuple[Formula, ...]) -> Formula:
-    if isinstance(f, _UNARY):
-        return type(f)(new_children[0])
-    if isinstance(f, _BINARY):
-        return type(f)(new_children[0], new_children[1])
-    return f
+    return frozenset(n for n in postorder(f) if n.__class__ is Atom)
 
 
 def map_atoms(f: Formula, fn) -> Formula:
-    """Rebuild ``f`` with every Atom leaf replaced by ``fn(atom)``."""
-    if isinstance(f, Atom):
-        return fn(f)
-    kids = children(f)
-    if not kids:
-        return f
-    return _rebuild(f, tuple(map_atoms(c, fn) for c in kids))
+    """Rebuild ``f`` with every Atom leaf replaced by ``fn(atom)``.
+
+    A node none of whose children changed is kept as it is, so a mapping
+    that changes no atom returns ``f`` itself.
+    """
+    new: dict[int, Formula] = {}
+    for node in postorder(f):
+        cls = node.__class__
+        if cls is Atom:
+            image = fn(node)
+        elif cls in _BINARY:
+            left, right = new[id(node.left)], new[id(node.right)]
+            image = node if left is node.left and right is node.right else cls(left, right)
+        elif cls in _UNARY:
+            arg = new[id(node.arg)]
+            image = node if arg is node.arg else cls(arg)
+        else:
+            image = node
+        new[id(node)] = image
+    return new[id(f)]
 
 
 def rename_projection(f: Formula, w: Iterable[str]) -> Formula:
@@ -143,14 +163,13 @@ def rename_projection(f: Formula, w: Iterable[str]) -> Formula:
     in ``w`` (re-priming would conflate two distinct renamings).
     """
     names = frozenset(w)
-    for a in atoms(f):
-        if a.primed and a.base in names:
-            raise ValueError(f"cannot re-prime variable {a.base!r}")
 
     def prime(a: Atom) -> Atom:
-        if not a.primed and a.base in names:
-            return Atom(a.base, True)
-        return a
+        if a.base not in names:
+            return a
+        if a.primed:
+            raise ValueError(f"cannot re-prime variable {a.base!r}")
+        return Atom(a.base, True)
 
     return map_atoms(f, prime)
 
@@ -184,21 +203,21 @@ def dependence_query(phi: Formula, w: Iterable[str], y: Iterable[str]) -> Formul
 
 def print_formula(f: Formula) -> str:
     """Render a formula in the surface grammar; binaries are parenthesized."""
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Atom):
-        return f.base + "'" if f.primed else f.base
-    if isinstance(f, Not):
-        return "!" + print_formula(f.arg)
-    if isinstance(f, Next):
-        return "X " + print_formula(f.arg)
-    if isinstance(f, Eventually):
-        return "F " + print_formula(f.arg)
-    if isinstance(f, Always):
-        return "G " + print_formula(f.arg)
-    op = {And: "&", Or: "|", Implies: "->", Iff: "<->", Until: "U", Release: "R"}[
-        type(f)
-    ]
-    return f"({print_formula(f.left)} {op} {print_formula(f.right)})"
+    out: list[str] = []
+    stack: list = [f]       # nodes still to print, and the text that follows them
+    while stack:
+        node = stack.pop()
+        cls = node.__class__
+        if cls is str:
+            out.append(node)
+        elif cls is Atom:
+            out.append(node.base + "'" if node.primed else node.base)
+        elif cls in _UNARY:
+            out.append(_UNARY[cls])
+            stack.append(node.arg)
+        elif cls in _BINARY:
+            out.append("(")
+            stack += (")", node.right, _BINARY[cls], node.left)
+        else:
+            out.append(_CONSTANT[cls])
+    return "".join(out)

@@ -110,108 +110,76 @@ def _tokenize(text: str, start_line: int = 1, start_col: int = 1) -> list[Token]
     return tokens
 
 
+# binary operator -> (binding strength, node class); all are right associative
+_BINARY_OPS = {"<->": (1, Iff), "->": (2, Implies), "|": (3, Or), "&": (4, And),
+               "U": (5, Until), "R": (5, Release)}
+_PREFIX_OPS = {"!": Not, "G": Always, "F": Eventually, "X": Next}
+_CONSTANTS = {"true": TRUE, "false": FALSE}
+_PREFIX = 6                 # binding strength of the prefix operators
+_PAREN = (0, None)          # an open parenthesis on the operator stack
+
+
 class _FormulaParser:
-    """Recursive-descent parser.
+    """Operator-precedence parser with explicit operand and operator stacks.
 
     Precedence, loosest to tightest: ``<->``, ``->``, ``|``, ``&``,
-    ``U``/``R`` (right associative), unary ``! G F X``.  N-ary ``&``/``|``
-    chains fold to the right.
+    ``U``/``R``, unary ``! G F X``.  Every binary operator is right
+    associative, so n-ary ``&``/``|`` chains fold to the right.  Nesting
+    depth is bounded by memory, not by the interpreter's recursion limit.
     """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.pos = 0
         self.atom_positions: dict[str, tuple[int, int]] = {}
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text or tok.kind == "eof":
-            raise SpecError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                            tok.line, tok.col)
-        return self.advance()
-
     def parse(self) -> Formula:
-        f = self.iff()
-        tok = self.peek()
-        if tok.kind != "eof":
-            raise SpecError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
-        return f
+        operands: list[Formula] = []
+        operators: list[tuple[int, type | None]] = []
 
-    def iff(self) -> Formula:
-        left = self.implies()
-        if self.peek().text == "<->":
-            self.advance()
-            return Iff(left, self.iff())
-        return left
+        def reduce(strength: int) -> None:
+            """Apply stacked operators that bind tighter than ``strength``."""
+            while operators and operators[-1][0] > strength:
+                prec, cls = operators.pop()
+                if prec == _PREFIX:
+                    operands[-1] = cls(operands[-1])
+                else:
+                    right = operands.pop()
+                    operands[-1] = cls(operands[-1], right)
 
-    def implies(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().text == "->":
-            self.advance()
-            return Implies(left, self.implies())
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        if self.peek().text == "|":
-            self.advance()
-            return Or(left, self.disjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.until()
-        if self.peek().text == "&":
-            self.advance()
-            return And(left, self.conjunction())
-        return left
-
-    def until(self) -> Formula:
-        left = self.unary()
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("U", "R"):
-            self.advance()
-            right = self.until()
-            return Until(left, right) if tok.text == "U" else Release(left, right)
-        return left
-
-    def unary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "!":
-            self.advance()
-            return Not(self.unary())
-        if tok.kind == "kw" and tok.text in ("G", "F", "X"):
-            self.advance()
-            arg = self.unary()
-            return {"G": Always, "F": Eventually, "X": Next}[tok.text](arg)
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.text == "(":
-            self.advance()
-            f = self.iff()
-            self.expect(")")
-            return f
-        if tok.kind == "kw" and tok.text == "true":
-            self.advance()
-            return TRUE
-        if tok.kind == "kw" and tok.text == "false":
-            self.advance()
-            return FALSE
-        if tok.kind in ("ident", "ident'"):
-            self.advance()
-            self.atom_positions.setdefault(tok.text, (tok.line, tok.col))
-            return Atom(tok.text, tok.kind == "ident'")
-        raise SpecError(f"expected a formula, found {tok.text or 'end of input'!r}",
-                        tok.line, tok.col)
+        expect_operand = True
+        for tok in self.tokens:     # the last token is always "eof"
+            if expect_operand:
+                if tok.text in _PREFIX_OPS:
+                    operators.append((_PREFIX, _PREFIX_OPS[tok.text]))
+                elif tok.text == "(":
+                    operators.append(_PAREN)
+                elif tok.text in _CONSTANTS:
+                    operands.append(_CONSTANTS[tok.text])
+                    expect_operand = False
+                elif tok.kind in ("ident", "ident'"):
+                    self.atom_positions.setdefault(tok.text, (tok.line, tok.col))
+                    operands.append(Atom(tok.text, tok.kind == "ident'"))
+                    expect_operand = False
+                else:
+                    raise SpecError(f"expected a formula, found {tok.text or 'end of input'!r}",
+                                    tok.line, tok.col)
+                continue
+            op = _BINARY_OPS.get(tok.text)
+            if op is not None:
+                reduce(op[0])
+                operators.append(op)
+                expect_operand = True
+                continue
+            reduce(0)
+            if not operators:
+                if tok.kind == "eof":
+                    break
+                raise SpecError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
+            if tok.text != ")":
+                raise SpecError(f"expected ')', found {tok.text or 'end of input'!r}",
+                                tok.line, tok.col)
+            operators.pop()
+        return operands[0]
 
 
 def parse_formula(text: str, start_line: int = 1, start_col: int = 1) -> Formula:
@@ -254,11 +222,14 @@ def _strip_comment(line: str) -> str:
     return line if idx < 0 else line[:idx]
 
 
-def _parse_names(rest: str, kind: str, line_no: int) -> list[str]:
+_WORD_RE = re.compile(r"\S+")
+
+
+def _parse_names(line: str, kind: str, line_no: int) -> list[str]:
+    """The names after ``kind:`` on a comment-stripped line, columns from that line."""
     names = []
-    col = len(f"{kind}:") + 1
-    for part in rest.split():
-        col = _strip_comment(rest).find(part, col - 1) + 1  # best effort position
+    for m in _WORD_RE.finditer(line, line.index(f"{kind}:") + len(kind) + 1):
+        part, col = m.group(0), m.start() + 1
         if "'" in part:
             raise SpecError(f"apostrophe is illegal in variable names: {part!r}",
                             line_no, col)
@@ -288,11 +259,11 @@ def parse_spec(text: str) -> Spec:
         if env is None:
             if not stripped.startswith("env:"):
                 raise SpecError("expected 'env:' line", line_no, line.find(stripped[0]) + 1)
-            env = _parse_names(stripped[len("env:"):], "env", line_no)
+            env = _parse_names(line, "env", line_no)
         elif sys_ is None:
             if not stripped.startswith("sys:"):
                 raise SpecError("expected 'sys:' line", line_no, line.find(stripped[0]) + 1)
-            sys_ = _parse_names(stripped[len("sys:"):], "sys", line_no)
+            sys_ = _parse_names(line, "sys", line_no)
         else:
             if not stripped.startswith("formula:"):
                 raise SpecError("expected 'formula:' line", line_no, line.find(stripped[0]) + 1)

@@ -7,6 +7,7 @@ of atoms (closed world: an atom absent from a state is false).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
@@ -25,6 +26,7 @@ from .formula import (
     Release,
     TrueF,
     Until,
+    postorder,
 )
 
 State = frozenset[Atom]
@@ -81,73 +83,59 @@ def _canon(trace: LassoTrace, i: int) -> int:
     return p + (i - p) % len(trace.loop)
 
 
-def _values(trace: LassoTrace, f: Formula, memo: dict) -> list[bool]:
+# on booleans, ``a -> b`` is ``a <= b``
+_CONNECTIVES = {And: operator.and_, Or: operator.or_, Implies: operator.le, Iff: operator.eq}
+
+
+def _values(trace: LassoTrace, f: Formula) -> list[bool]:
     """Truth value of ``f`` at each of the finitely many distinct positions.
 
     Until is a least fixpoint, Release a greatest fixpoint; both are
     iterated to stabilization over the lasso positions.
     """
-    cached = memo.get(f)
-    if cached is not None:
-        return cached
     n = trace.positions
     p = len(trace.prefix)
     succ = [i + 1 if i + 1 < n else p for i in range(n)]
+    values: dict[int, list[bool]] = {}
+    for g in postorder(f):
+        cls = g.__class__
+        if cls is Atom:
+            vals = [g in trace.state_at(i) for i in range(n)]
+        elif cls is TrueF or cls is FalseF:
+            vals = [cls is TrueF] * n
+        elif cls is Not:
+            vals = [not v for v in values[id(g.arg)]]
+        elif cls is Next:
+            av = values[id(g.arg)]
+            vals = [av[succ[i]] for i in range(n)]
+        elif cls is Eventually or cls is Always:
+            vals = _fixpoint([cls is Eventually] * n, values[id(g.arg)], succ,
+                             least=cls is Eventually)
+        elif cls in _CONNECTIVES:
+            vals = list(map(_CONNECTIVES[cls], values[id(g.left)], values[id(g.right)]))
+        elif cls is Until or cls is Release:
+            vals = _fixpoint(values[id(g.left)], values[id(g.right)], succ,
+                             least=cls is Until)
+        else:
+            raise TypeError(f"unknown formula node {g!r}")
+        values[id(g)] = vals
+    return values[id(f)]
 
-    if isinstance(f, TrueF):
-        vals = [True] * n
-    elif isinstance(f, FalseF):
-        vals = [False] * n
-    elif isinstance(f, Atom):
-        vals = [f in trace.state_at(i) for i in range(n)]
-    elif isinstance(f, Not):
-        vals = [not v for v in _values(trace, f.arg, memo)]
-    elif isinstance(f, And):
-        lv, rv = _values(trace, f.left, memo), _values(trace, f.right, memo)
-        vals = [a and b for a, b in zip(lv, rv)]
-    elif isinstance(f, Or):
-        lv, rv = _values(trace, f.left, memo), _values(trace, f.right, memo)
-        vals = [a or b for a, b in zip(lv, rv)]
-    elif isinstance(f, Implies):
-        lv, rv = _values(trace, f.left, memo), _values(trace, f.right, memo)
-        vals = [(not a) or b for a, b in zip(lv, rv)]
-    elif isinstance(f, Iff):
-        lv, rv = _values(trace, f.left, memo), _values(trace, f.right, memo)
-        vals = [a == b for a, b in zip(lv, rv)]
-    elif isinstance(f, Next):
-        av = _values(trace, f.arg, memo)
-        vals = [av[succ[i]] for i in range(n)]
-    elif isinstance(f, (Until, Eventually)):
-        if isinstance(f, Eventually):
-            lv, rv = [True] * n, _values(trace, f.arg, memo)
-        else:
-            lv, rv = _values(trace, f.left, memo), _values(trace, f.right, memo)
-        vals = [False] * n
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1, -1, -1):
+
+def _fixpoint(lv: list[bool], rv: list[bool], succ: list[int], least: bool) -> list[bool]:
+    """``l U r`` from all-false (``least``), else ``l R r`` from all-true."""
+    vals = [not least] * len(succ)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(succ) - 1, -1, -1):
+            if least:
                 v = rv[i] or (lv[i] and vals[succ[i]])
-                if v != vals[i]:
-                    vals[i] = v
-                    changed = True
-    elif isinstance(f, (Release, Always)):
-        if isinstance(f, Always):
-            lv, rv = [False] * n, _values(trace, f.arg, memo)
-        else:
-            lv, rv = _values(trace, f.left, memo), _values(trace, f.right, memo)
-        vals = [True] * n
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1, -1, -1):
+            else:
                 v = rv[i] and (lv[i] or vals[succ[i]])
-                if v != vals[i]:
-                    vals[i] = v
-                    changed = True
-    else:
-        raise TypeError(f"unknown formula node {f!r}")
-    memo[f] = vals
+            if v != vals[i]:
+                vals[i] = v
+                changed = True
     return vals
 
 
@@ -155,7 +143,7 @@ def eval_formula(trace: LassoTrace, f: Formula, i: int = 0) -> bool:
     """Standard LTL semantics at position ``i`` of the infinite word."""
     if i < 0:
         raise ValueError("position must be nonnegative")
-    return _values(trace, f, {})[_canon(trace, i)]
+    return _values(trace, f)[_canon(trace, i)]
 
 
 def project_trace(trace: LassoTrace, keep, system) -> LassoTrace:

@@ -22,7 +22,7 @@ from ltlsplit import (
     state,
     to_nnf,
 )
-from ltlsplit.formula import Until, walk
+from ltlsplit.formula import Until, postorder
 from helpers import small_formula
 
 INTRO_PHI = parse_formula(
@@ -92,7 +92,7 @@ class TestBuildGba:
 
     def test_one_acceptance_set_per_until(self):
         f = to_nnf(parse_formula("(a U b) & F c & G d"))
-        untils = {n for n in walk(f) if isinstance(n, Until)}
+        untils = {n for n in postorder(f) if isinstance(n, Until)}
         gba = build_gba(f)
         assert len(gba.acceptance) == len(untils) == 2
 

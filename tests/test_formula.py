@@ -15,11 +15,16 @@ from ltlsplit import (
     Not,
     Or,
     atoms,
+    build_gba,
     dependence_query,
+    eval_formula,
+    find_accepting_lasso,
+    lasso,
     lock_conjunct,
     parse_formula,
     print_formula,
     rename_projection,
+    to_nnf,
     unprime,
 )
 
@@ -58,6 +63,9 @@ class TestRenameProjection:
 
     def test_empty_w_is_identity(self):
         assert rename_projection(PHI_PROJ, set()) == PHI_PROJ
+
+    def test_names_not_in_phi_return_phi_itself(self):
+        assert rename_projection(PHI_PROJ, {"x", "y"}) is PHI_PROJ
 
     def test_reprime_rejected(self):
         once = rename_projection(PHI_PROJ, {"a"})
@@ -133,3 +141,53 @@ class TestPrinting:
 
     def test_next_of_eventually(self):
         assert print_formula(Next(Eventually(A("a")))) == "X F a"
+
+
+def _chain(unit: str, n: int) -> str:
+    """The printed right fold ``(u & (u & ... u))`` of ``n`` copies of ``unit``."""
+    return f"({unit} & " * (n - 1) + unit + ")" * (n - 1)
+
+
+# Source text, its printed form, and the printed NNF of its negation.  Both
+# nest far deeper than the interpreter's default recursion limit of 1,000.
+DEEP = {
+    "next5000": ("X " * 5000 + "a", "X " * 5000 + "a", "X " * 5000 + "!a"),
+    "conj1500": (" & ".join(["a"] * 1500), _chain("a", 1500),
+                 _chain("!a", 1500).replace("&", "|")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+class TestDeepFormulas:
+    """Each formula pass walks deep formulas without recursing.
+
+    Formulas are compared through their printed text: the dataclass ``==``
+    recurses once per level, while printing parenthesizes every binary
+    operator and so tells any two different formulas apart.
+    """
+
+    def test_print_parse_round_trip(self, name):
+        source, printed, _ = DEEP[name]
+        assert print_formula(parse_formula(source)) == printed
+        assert print_formula(parse_formula(printed)) == printed
+
+    def test_rename_projection(self, name):
+        source, printed, _ = DEEP[name]
+        f = parse_formula(source)
+        assert print_formula(rename_projection(f, {"a"})) == printed.replace("a", "a'")
+        assert rename_projection(f, {"b"}) is f
+
+    def test_to_nnf_of_negation(self, name):
+        source, _, negated = DEEP[name]
+        assert print_formula(to_nnf(Not(parse_formula(source)))) == negated
+
+    def test_build_gba(self, name):
+        f = parse_formula(DEEP[name][0])
+        result = find_accepting_lasso(build_gba(to_nnf(f)))
+        assert result.is_sat
+        assert eval_formula(result.witness, f, 0)
+
+    def test_eval_formula_on_one_state_lasso(self, name):
+        f = parse_formula(DEEP[name][0])
+        assert eval_formula(lasso([], [{A("a")}]), f, 0)
+        assert not eval_formula(lasso([], [set()]), f, 0)

@@ -74,6 +74,25 @@ class TestFormulaErrors:
         assert err.value.line == line
         assert err.value.col == col
 
+    @pytest.mark.parametrize("text,message", [
+        ("a )", "1:3: unexpected ')' after formula"),
+        ("& a", "1:1: expected a formula, found '&'"),
+        ("G", "1:2: expected a formula, found 'end of input'"),
+        ("!)", "1:2: expected a formula, found ')'"),
+        ("(a b)", "1:4: expected ')', found 'b'"),
+        ("((a)", "1:5: expected ')', found 'end of input'"),
+        ("a U", "1:4: expected a formula, found 'end of input'"),
+        ("X'", "1:1: reserved word 'X' cannot be primed"),
+        ("a & & b", "1:5: expected a formula, found '&'"),
+        ("()", "1:2: expected a formula, found ')'"),
+        ("(a) (b)", "1:5: unexpected '(' after formula"),
+        ("a R (b", "1:7: expected ')', found 'end of input'"),
+    ])
+    def test_messages(self, text, message):
+        with pytest.raises(SpecError) as err:
+            parse_formula(text)
+        assert str(err.value) == message
+
     def test_reserved_cannot_be_primed(self):
         with pytest.raises(SpecError):
             parse_formula("G'")
@@ -134,6 +153,17 @@ class TestParseSpec:
     def test_reserved_word_as_variable(self):
         with pytest.raises(SpecError, match="reserved"):
             parse_spec("env: G\nsys: a\nformula: a\n")
+
+    @pytest.mark.parametrize("text,line,col", [
+        ("env: p q'\nsys: a\nformula: a\n", 1, 8),
+        ("env: p\nsys: a G\nformula: a\n", 2, 8),
+        ("env: p\nsys: abc 9x\nformula: a\n", 2, 10),
+        ("  env: p x'\nsys: a\nformula: a\n", 1, 10),
+    ], ids=["env-apostrophe", "sys-reserved", "sys-invalid-name", "indented-env"])
+    def test_declaration_error_columns(self, text, line, col):
+        with pytest.raises(SpecError) as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.col) == (line, col)
 
     def test_missing_sections(self):
         with pytest.raises(SpecError, match="incomplete"):
