@@ -42,15 +42,17 @@ class RunConfig:
     def __post_init__(self):
         if self.state_cap < 1:
             raise ValueError("state cap must be >= 1")
-        if self.engine.startswith("external:") and not self.engine[len("external:"):].strip():
-            raise ValueError("external engine command must be nonempty")
+        try:
+            self.make_solver()
+        except ValueError as exc:
+            raise ValueError(f"bad engine {self.engine!r}: {exc}") from None
 
     def make_solver(self):
         if self.engine == "internal":
             return InternalSolver(self.state_cap)
         if self.engine.startswith("external:"):
             return ExternalSolver(self.engine[len("external:"):])
-        raise ValueError(f"unknown engine {self.engine!r}")
+        raise ValueError("expected 'internal' or 'external:<command>'")
 
 
 def _build_config(argv) -> RunConfig:
@@ -98,6 +100,8 @@ def _write_evidence(path: Path, result) -> None:
 def main(argv=None) -> int:
     try:
         config = _build_config(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error; here 2 means an engine failure
+        return EXIT_INPUT if exc.code == 2 else exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

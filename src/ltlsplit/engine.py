@@ -14,6 +14,7 @@ from __future__ import annotations
 import shlex
 import subprocess
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .formula import (
     FALSE,
@@ -67,50 +68,50 @@ UNSAT = SatResult()
 
 
 _DUAL = {And: Or, Or: And, Until: Release, Release: Until}
+_ATOM_ORDER = attrgetter("base", "primed")
 
 
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
 
     One pass over ``postorder(f)`` maps each node g to (nnf(g), nnf(!g));
-    a node whose children are already in NNF is reused.
+    the unique table hands back a node whose children are already in NNF.
     """
-    nnf: dict[int, tuple[Formula, Formula]] = {}
+    nnf: dict[Formula, tuple[Formula, Formula]] = {}
     for g in postorder(f):
         cls = g.__class__
         if cls is Atom:
             pair = g, Not(g)
         elif cls in _DUAL:
-            lp, ln = nnf[id(g.left)]
-            rp, rn = nnf[id(g.right)]
-            same = lp is g.left and rp is g.right
-            pair = g if same else cls(lp, rp), _DUAL[cls](ln, rn)
+            lp, ln = nnf[g.left]
+            rp, rn = nnf[g.right]
+            pair = cls(lp, rp), _DUAL[cls](ln, rn)
         elif cls is Not:
-            p, n = nnf[id(g.arg)]
+            p, n = nnf[g.arg]
             pair = n, p
         elif cls is Next:
-            p, n = nnf[id(g.arg)]
-            pair = g if p is g.arg else Next(p), Next(n)
+            p, n = nnf[g.arg]
+            pair = Next(p), Next(n)
         elif cls is Eventually:
-            p, n = nnf[id(g.arg)]
+            p, n = nnf[g.arg]
             pair = Until(TRUE, p), Release(FALSE, n)
         elif cls is Always:
-            p, n = nnf[id(g.arg)]
+            p, n = nnf[g.arg]
             pair = Release(FALSE, p), Until(TRUE, n)
         elif cls is Implies:
-            lp, ln = nnf[id(g.left)]
-            rp, rn = nnf[id(g.right)]
+            lp, ln = nnf[g.left]
+            rp, rn = nnf[g.right]
             pair = Or(ln, rp), And(lp, rn)
         elif cls is Iff:
-            lp, ln = nnf[id(g.left)]
-            rp, rn = nnf[id(g.right)]
+            lp, ln = nnf[g.left]
+            rp, rn = nnf[g.right]
             pair = Or(And(lp, rp), And(ln, rn)), Or(And(lp, rn), And(ln, rp))
         elif cls is TrueF or cls is FalseF:
             pair = (TRUE, FALSE) if cls is TrueF else (FALSE, TRUE)
         else:
             raise TypeError(f"unknown formula node {g!r}")
-        nnf[id(g)] = pair
-    return nnf[id(f)][0]
+        nnf[g] = pair
+    return nnf[f][0]
 
 
 @dataclass
@@ -136,73 +137,6 @@ class Gba:
     acceptance: tuple[frozenset[int], ...]
 
 
-class _Arena:
-    """Interns NNF subformulas as dense integers so tableau sets are int sets.
-
-    Nodes are keyed by kind and child ids, literals by atom and polarity,
-    so equal subformulas share an id without hashing a formula tree.  Ids
-    follow first occurrence in post-order.  The atom under a negative
-    literal gets a positive id too, used or not; where literal ids fall
-    among the others does not change the automaton, because a literal
-    never branches the tableau and the order of the other ids is fixed.
-    """
-
-    # kind codes
-    TRUE, FALSE, LIT, AND, OR, NEXT, UNTIL, RELEASE = range(8)
-
-    def __init__(self):
-        self.ids: dict[tuple, int] = {}
-        self.kind: list[int] = []
-        self.left: list[int] = []       # first child id, or -1
-        self.right: list[int] = []      # second child id, or literal polarity
-        self.comp: list[int] = []       # complementary literal id, or -1
-        self.atom: list[Atom | None] = []   # a literal's atom
-
-    def _add(self, kind: int, a, b: int) -> int:
-        """The id of node (kind, a, b); ``a`` is a literal's atom, else a child id."""
-        key = (kind, a, b)
-        fid = self.ids.get(key)
-        if fid is None:
-            fid = self.ids[key] = len(self.kind)
-            lit = kind == self.LIT
-            self.kind.append(kind)
-            self.left.append(-1 if lit else a)
-            self.right.append(b)
-            self.atom.append(a if lit else None)
-            other = self.ids.get((kind, a, 1 - b), -1) if lit else -1
-            self.comp.append(other)
-            if other >= 0:
-                self.comp[other] = fid
-        return fid
-
-    def intern(self, f: Formula) -> int:
-        """Intern ``f`` and its subformulas; return the id of ``f``."""
-        fids: dict[int, int] = {}
-        for g in postorder(f):
-            cls = g.__class__
-            if cls is Atom:
-                fid = self._add(self.LIT, g, 1)
-            elif cls is Not:
-                if g.arg.__class__ is not Atom:
-                    raise ValueError("negation on a non-atom: formula not in NNF")
-                fid = self._add(self.LIT, g.arg, 0)
-            elif cls in _KIND:
-                fid = self._add(_KIND[cls], fids[id(g.left)], fids[id(g.right)])
-            elif cls is Next:
-                fid = self._add(self.NEXT, fids[id(g.arg)], -1)
-            elif cls is TrueF:
-                fid = self._add(self.TRUE, -1, -1)
-            elif cls is FalseF:
-                fid = self._add(self.FALSE, -1, -1)
-            else:
-                raise ValueError(f"unexpected node in NNF formula: {g!r}")
-            fids[id(g)] = fid
-        return fids[id(f)]
-
-
-_KIND = {And: _Arena.AND, Or: _Arena.OR, Until: _Arena.UNTIL, Release: _Arena.RELEASE}
-
-
 class _Node:
     __slots__ = ("incoming", "new", "old", "next")
 
@@ -216,13 +150,30 @@ class _Node:
 def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     """Tableau construction; ``f`` must be in negation normal form.
 
-    Raises ``ValueError`` (from interning) on a formula outside NNF.
+    Subformulas are numbered by their rank in ``postorder(f)``, so the
+    tableau's obligation sets are int sets and ids follow first occurrence
+    in post-order; the atom under a negative literal is ranked just before
+    it.  Raises ``ValueError`` on a formula outside NNF.
     """
-    arena = _Arena()
-    root = arena.intern(f)
-    kind, left, right, comp = arena.kind, arena.left, arena.right, arena.comp
-    LIT, AND, OR, NEXT = _Arena.LIT, _Arena.AND, _Arena.OR, _Arena.NEXT
-    UNTIL, RELEASE = _Arena.UNTIL, _Arena.RELEASE
+    nodes = postorder(f)
+    rank = {g: i for i, g in enumerate(nodes)}
+    kind = [g.__class__ for g in nodes]
+    left = [-1] * len(nodes)        # first child id, or -1
+    right = [-1] * len(nodes)       # second child id, or -1
+    comp = [-1] * len(nodes)        # complementary literal id, or -1
+    for i, g in enumerate(nodes):
+        k = kind[i]
+        if k is Not:
+            if g.arg.__class__ is not Atom:
+                raise ValueError("negation on a non-atom: formula not in NNF")
+            comp[i] = rank[g.arg]
+            comp[comp[i]] = i
+        elif k is And or k is Or or k is Until or k is Release:
+            left[i], right[i] = rank[g.left], rank[g.right]
+        elif k is Next:
+            left[i] = rank[g.arg]
+        elif k is not Atom and k is not TrueF and k is not FalseF:
+            raise ValueError(f"unexpected node in NNF formula: {g!r}")
 
     covers: dict[frozenset, list[tuple[frozenset, frozenset]]] = {}
 
@@ -243,31 +194,31 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
             while node is not None and node.new:
                 g = node.new.pop()
                 k = kind[g]
-                if g in node.old or k == _Arena.TRUE:
+                if g in node.old or k is TrueF:
                     continue
-                if k == _Arena.FALSE:
+                if k is FalseF:
                     node = None
-                elif k == LIT:
+                elif k is Atom or k is Not:
                     if comp[g] in node.old:
                         node = None
                     else:
                         node.old.add(g)
-                elif k == AND:
+                elif k is And:
                     node.old.add(g)
                     node.new.append(left[g])
                     node.new.append(right[g])
-                elif k == NEXT:
+                elif k is Next:
                     node.old.add(g)
                     node.next.add(left[g])
-                else:  # OR, UNTIL, RELEASE split into two branches
+                else:  # Or, Until, Release split into two branches
                     old2 = node.old.copy()
                     old2.add(g)
                     next2 = node.next.copy()
                     node.old.add(g)
-                    if k == OR:
+                    if k is Or:
                         branch = _Node(None, node.new + [right[g]], old2, next2)
                         node.new.append(left[g])
-                    elif k == UNTIL:  # a U b == b | (a & X(a U b))
+                    elif k is Until:  # a U b == b | (a & X(a U b))
                         branch = _Node(None, node.new + [right[g]], old2, next2)
                         node.new.append(left[g])
                         node.next.add(g)
@@ -299,21 +250,18 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
             order.append(key)
         return idx
 
-    initial = tuple(state_id(key) for key in cover(frozenset((root,))))
+    initial = tuple(state_id(key) for key in cover(frozenset((len(nodes) - 1,))))
     succs: list[list[int]] = []
     while len(succs) < len(order):
         succs.append(sorted({state_id(k) for k in cover(order[len(succs)][1])}))
 
-    atom = arena.atom
     states: list[GbaState] = []
     for (old, _), succ in zip(order, succs):
-        literals = sorted((x for x in old if kind[x] == LIT),
-                          key=lambda x: (atom[x].base, atom[x].primed))
-        states.append(GbaState(tuple(atom[x] for x in literals if right[x]),
-                               tuple(atom[x] for x in literals if not right[x]),
-                               succ))
+        pos = sorted((nodes[x] for x in old if kind[x] is Atom), key=_ATOM_ORDER)
+        neg = sorted((nodes[x].arg for x in old if kind[x] is Not), key=_ATOM_ORDER)
+        states.append(GbaState(tuple(pos), tuple(neg), succ))
 
-    untils = sorted(fid for fid in range(len(kind)) if kind[fid] == UNTIL)
+    untils = [g for g in range(len(kind)) if kind[g] is Until]
     acceptance = tuple(
         frozenset(idx for idx, key in enumerate(order)
                   if g not in key[0] or right[g] in key[0])

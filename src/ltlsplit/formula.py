@@ -7,86 +7,139 @@ declared variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
 from typing import Iterable
 
 
 class Formula:
-    """Base class for LTL formula nodes. Nodes are immutable and hashable."""
+    """Base class for LTL formula nodes, hash-consed (Filliâtre & Conchon 2006).
 
+    Every node is built through one unique table keyed by its class and
+    the identities of its children (an atom by ``base`` and ``primed``),
+    so structurally equal formulas are the same object.  Hence ``==`` is
+    ``is`` and ``hash`` is identity, and neither recurses; ``repr`` is
+    ``print_formula``.  Nodes are immutable, a copy or a pickle round trip
+    returns the interned node itself, and building nodes from several
+    threads is safe.  The table holds its nodes weakly, so a formula
+    nothing refers to is freed.
+    """
+
+    __slots__ = ("__weakref__",)
+    _fields: tuple[str, ...] = ()
+
+    def __new__(cls):       # TRUE and FALSE; nodes with fields override this
+        return _intern(cls, (cls,), ())
+
+    def __setattr__(self, *args):
+        raise AttributeError("formula nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return print_formula(self)
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+
+
+# The unique table: node key -> weak reference to the node.  Keys hold the
+# ids of children, not the children, so an entry whose node has died keeps
+# nothing alive.  Dead entries are swept once the table has grown to twice
+# its size after the last sweep, plus 4,096, so sweeping is amortized O(1).
+_table: dict[tuple, weakref.ref] = {}
+_table_lock = threading.Lock()
+_sweep_at = 4096
+
+
+def _intern(cls, key: tuple, values: tuple) -> Formula:
+    """The one live node of class ``cls`` under ``key``, built from ``values`` if none."""
+    global _sweep_at
+    with _table_lock:
+        ref = _table.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            _table[key] = weakref.ref(node)
+            if len(_table) >= _sweep_at:
+                for dead in [k for k, r in _table.items() if r() is None]:
+                    del _table[dead]
+                _sweep_at = 2 * len(_table) + 4096
+        return node
+
+
+class TrueF(Formula):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TrueF(Formula):
-    pass
-
-
-@dataclass(frozen=True)
 class FalseF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    base: str
-    primed: bool = False
+    __slots__ = ("base", "primed")
+    _fields = __slots__
+
+    def __new__(cls, base: str, primed: bool = False):
+        return _intern(cls, (cls, base, primed), (base, primed))
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    arg: Formula
+class _Unary(Formula):
+    __slots__ = ("arg",)
+    _fields = __slots__
+
+    def __new__(cls, arg: Formula):
+        return _intern(cls, (cls, id(arg)), (arg,))
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = ("left", "right")
+    _fields = __slots__
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _intern(cls, (cls, id(left), id(right)), (left, right))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Not(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Next(Formula):
-    arg: Formula
+class Implies(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Eventually(Formula):
-    arg: Formula
+class Iff(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Always(Formula):
-    arg: Formula
+class Next(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    right: Formula
+class Eventually(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Release(Formula):
-    left: Formula
-    right: Formula
+class Always(_Unary):
+    __slots__ = ()
+
+
+class Until(_Binary):
+    __slots__ = ()
+
+
+class Release(_Binary):
+    __slots__ = ()
 
 
 TRUE = TrueF()
@@ -106,7 +159,7 @@ def postorder(f: Formula) -> list[Formula]:
     the recursion limit; every formula pass in the package uses this list.
     """
     order: list[Formula] = []
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack: list = [f]
     pop, emit, mark = stack.pop, order.append, seen.add
     while stack:
@@ -114,10 +167,9 @@ def postorder(f: Formula) -> list[Formula]:
         if node is None:        # the node beneath this marker has its children listed
             emit(pop())
             continue
-        key = id(node)
-        if key in seen:
+        if node in seen:
             continue
-        mark(key)
+        mark(node)
         cls = node.__class__
         if cls in _BINARY:
             stack += (node, None, node.right, node.left)
@@ -136,24 +188,22 @@ def atoms(f: Formula) -> frozenset[Atom]:
 def map_atoms(f: Formula, fn) -> Formula:
     """Rebuild ``f`` with every Atom leaf replaced by ``fn(atom)``.
 
-    A node none of whose children changed is kept as it is, so a mapping
-    that changes no atom returns ``f`` itself.
+    The unique table hands back each node whose children did not change,
+    so a mapping that changes no atom returns ``f`` itself.
     """
-    new: dict[int, Formula] = {}
+    new: dict[Formula, Formula] = {}
     for node in postorder(f):
         cls = node.__class__
         if cls is Atom:
             image = fn(node)
         elif cls in _BINARY:
-            left, right = new[id(node.left)], new[id(node.right)]
-            image = node if left is node.left and right is node.right else cls(left, right)
+            image = cls(new[node.left], new[node.right])
         elif cls in _UNARY:
-            arg = new[id(node.arg)]
-            image = node if arg is node.arg else cls(arg)
+            image = cls(new[node.arg])
         else:
             image = node
-        new[id(node)] = image
-    return new[id(f)]
+        new[node] = image
+    return new[f]
 
 
 def rename_projection(f: Formula, w: Iterable[str]) -> Formula:

@@ -197,8 +197,20 @@ class Spec:
 
 def make_spec(env, sys_, formula: Formula) -> Spec:
     """Validate and build a Spec; raises SpecError on any invariant violation."""
+    return _checked_spec(env, sys_, formula, {})
+
+
+def _checked_spec(env, sys_, formula: Formula, positions) -> Spec:
+    """``make_spec``, placing an atom fault at ``positions[base]`` when known."""
     env = tuple(env)
     sys_ = tuple(sys_)
+    declared = set(env) | set(sys_)
+    for a in sorted(atoms(formula), key=lambda a: (a.base, a.primed)):
+        line, col = positions.get(a.base, (None, None))
+        if a.primed:
+            raise SpecError(f"primed atom {a.base}' not allowed in an input spec", line, col)
+        if a.base not in declared:
+            raise SpecError(f"undeclared atom {a.base!r}", line, col)
     for names, kind in ((env, "env"), (sys_, "sys")):
         seen = set()
         for name in names:
@@ -208,12 +220,6 @@ def make_spec(env, sys_, formula: Formula) -> Spec:
     overlap = set(env) & set(sys_)
     if overlap:
         raise SpecError(f"variables declared both env and sys: {sorted(overlap)}")
-    declared = set(env) | set(sys_)
-    for a in sorted(atoms(formula), key=lambda a: (a.base, a.primed)):
-        if a.primed:
-            raise SpecError(f"primed atom {a.base}' not allowed in an input spec")
-        if a.base not in declared:
-            raise SpecError(f"undeclared atom {a.base!r}")
     return Spec(env, sys_, formula)
 
 
@@ -278,13 +284,4 @@ def parse_spec(text: str) -> Spec:
 
     parser = _FormulaParser(_tokenize(formula_text, formula_line, formula_col))
     formula = parser.parse()
-
-    declared = set(env) | set(sys_)
-    for a in sorted(atoms(formula), key=lambda a: (a.base, a.primed)):
-        pos = parser.atom_positions.get(a.base, (None, None))
-        if a.primed:
-            raise SpecError(f"primed atom {a.base}' not allowed in an input spec",
-                            pos[0], pos[1])
-        if a.base not in declared:
-            raise SpecError(f"undeclared atom {a.base!r}", pos[0], pos[1])
-    return make_spec(env, sys_, formula)
+    return _checked_spec(env, sys_, formula, parser.atom_positions)

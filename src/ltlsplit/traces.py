@@ -96,7 +96,7 @@ def _values(trace: LassoTrace, f: Formula) -> list[bool]:
     n = trace.positions
     p = len(trace.prefix)
     succ = [i + 1 if i + 1 < n else p for i in range(n)]
-    values: dict[int, list[bool]] = {}
+    values: dict[Formula, list[bool]] = {}
     for g in postorder(f):
         cls = g.__class__
         if cls is Atom:
@@ -104,22 +104,22 @@ def _values(trace: LassoTrace, f: Formula) -> list[bool]:
         elif cls is TrueF or cls is FalseF:
             vals = [cls is TrueF] * n
         elif cls is Not:
-            vals = [not v for v in values[id(g.arg)]]
+            vals = [not v for v in values[g.arg]]
         elif cls is Next:
-            av = values[id(g.arg)]
+            av = values[g.arg]
             vals = [av[succ[i]] for i in range(n)]
         elif cls is Eventually or cls is Always:
-            vals = _fixpoint([cls is Eventually] * n, values[id(g.arg)], succ,
+            vals = _fixpoint([cls is Eventually] * n, values[g.arg], succ,
                              least=cls is Eventually)
         elif cls in _CONNECTIVES:
-            vals = list(map(_CONNECTIVES[cls], values[id(g.left)], values[id(g.right)]))
+            vals = list(map(_CONNECTIVES[cls], values[g.left], values[g.right]))
         elif cls is Until or cls is Release:
-            vals = _fixpoint(values[id(g.left)], values[id(g.right)], succ,
+            vals = _fixpoint(values[g.left], values[g.right], succ,
                              least=cls is Until)
         else:
             raise TypeError(f"unknown formula node {g!r}")
-        values[id(g)] = vals
-    return values[id(f)]
+        values[g] = vals
+    return values[f]
 
 
 def _fixpoint(lv: list[bool], rv: list[bool], succ: list[int], least: bool) -> list[bool]:

@@ -26,6 +26,13 @@ def write_spec(tmp_path, name, text):
     return path
 
 
+def run_cli(*args):
+    """The CLI as a separate process, so stderr is what a user of the command gets."""
+    env = dict(os.environ, PYTHONPATH=str(Path(ltlsplit.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "ltlsplit.cli", *map(str, args)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 class TestRunConfig:
     def test_defaults(self, intro_file):
         config = RunConfig(intro_file)
@@ -138,17 +145,30 @@ class TestMain:
         "!" * 5001 + "a",
     ], ids=["parens1000", "conj1500", "next5000", "not5001"])
     def test_deep_nesting_is_decided(self, tmp_path, formula):
-        # A separate process, so the interpreter's own recursion limit and
-        # stderr are what a user of the command gets.
+        # A separate process, so the interpreter's own recursion limit is
+        # what a user of the command gets.
         path = write_spec(tmp_path, "deep.spec",
                           f"env: p\nsys: a b\nformula: {formula}\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(ltlsplit.__file__).parents[1]))
-        proc = subprocess.run([sys.executable, "-m", "ltlsplit.cli", str(path),
-                               "--format", "json"],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli(path, "--format", "json")
         assert "Traceback" not in proc.stderr
         assert proc.returncode == EXIT_OK
         assert json.loads(proc.stdout)["blocks"] == [["a"], ["b"]]
+
+    @pytest.mark.parametrize("engine", ["foo", "external:'oops"])
+    def test_bad_engine_is_an_input_error(self, intro_file, engine):
+        proc = run_cli(intro_file, "--engine", engine)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error: bad engine")
+        assert "Traceback" not in proc.stderr
+
+    def test_usage_error_exits_1(self, intro_file, capsys):
+        for argv in ([str(intro_file), "--state-cap", "abc"], []):
+            assert main(argv) == EXIT_INPUT
+            assert "usage: ltlsplit" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert "usage: ltlsplit" in capsys.readouterr().out
 
     def test_empty_sys_partition(self, tmp_path, capsys):
         path = write_spec(tmp_path, "none.spec", "env: p\nsys:\nformula: G p\n")

@@ -1,4 +1,11 @@
-"""AST construction, priming/renaming, and printing."""
+"""AST construction, hash-consing, priming/renaming, and printing."""
+
+import copy
+import gc
+import pickle
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -19,6 +26,7 @@ from ltlsplit import (
     dependence_query,
     eval_formula,
     find_accepting_lasso,
+    formula,
     lasso,
     lock_conjunct,
     parse_formula,
@@ -159,27 +167,31 @@ DEEP = {
 
 @pytest.mark.parametrize("name", sorted(DEEP))
 class TestDeepFormulas:
-    """Each formula pass walks deep formulas without recursing.
-
-    Formulas are compared through their printed text: the dataclass ``==``
-    recurses once per level, while printing parenthesizes every binary
-    operator and so tells any two different formulas apart.
-    """
+    """Each formula pass, and ``==``, ``hash`` and ``repr``, work on deep formulas."""
 
     def test_print_parse_round_trip(self, name):
         source, printed, _ = DEEP[name]
-        assert print_formula(parse_formula(source)) == printed
-        assert print_formula(parse_formula(printed)) == printed
+        f = parse_formula(source)
+        assert print_formula(f) == printed
+        assert parse_formula(printed) == f
+
+    def test_separate_parses_are_one_object(self, name):
+        source, printed, _ = DEEP[name]
+        f, g = parse_formula(source), parse_formula(source)
+        assert f is g
+        assert f == g and not f != g
+        assert hash(f) == hash(g)
+        assert repr(f) == printed
 
     def test_rename_projection(self, name):
         source, printed, _ = DEEP[name]
         f = parse_formula(source)
-        assert print_formula(rename_projection(f, {"a"})) == printed.replace("a", "a'")
+        assert rename_projection(f, {"a"}) == parse_formula(printed.replace("a", "a'"))
         assert rename_projection(f, {"b"}) is f
 
     def test_to_nnf_of_negation(self, name):
         source, _, negated = DEEP[name]
-        assert print_formula(to_nnf(Not(parse_formula(source)))) == negated
+        assert to_nnf(Not(parse_formula(source))) == parse_formula(negated)
 
     def test_build_gba(self, name):
         f = parse_formula(DEEP[name][0])
@@ -191,3 +203,70 @@ class TestDeepFormulas:
         f = parse_formula(DEEP[name][0])
         assert eval_formula(lasso([], [{A("a")}]), f, 0)
         assert not eval_formula(lasso([], [set()]), f, 0)
+
+    def test_copies_are_the_node_itself(self, name):
+        f = parse_formula(DEEP[name][0])
+        assert copy.copy(f) is f
+
+    def test_dropped_formula_is_freed(self, name):
+        def swept_size():
+            """Table size right after a sweep, forced by adding atoms that die at once."""
+            gc.collect()
+            size = len(formula._table)
+            for i in range(2 * formula._sweep_at):
+                Atom(f"dead{i}")
+                if len(formula._table) < size:
+                    break
+                size = len(formula._table)
+            return len(formula._table)
+
+        before = swept_size()
+        f = parse_formula(DEEP[name][0])
+        derived = [rename_projection(f, {"a"}), to_nnf(Not(f)), dependence_query(f, ["a"], [])]
+        root = weakref.ref(f)
+        assert swept_size() > before + 1000
+        del f, derived
+        assert root() is None
+        assert swept_size() <= before
+
+
+class TestUniqueTable:
+    def test_equal_formulas_are_one_object(self):
+        assert parse_formula("G(p -> a) & F b") is parse_formula("(G (p -> a) & F b)")
+        assert Atom("a", 1) is Atom("a", True)
+        assert And(A("a"), A("b")) is not And(A("b"), A("a"))
+        assert Next(A("a")) is not Always(A("a"))
+
+    def test_copy_and_pickle_return_the_interned_node(self):
+        assert copy.copy(PHI_PROJ) is PHI_PROJ
+        assert copy.deepcopy(PHI_PROJ) is PHI_PROJ
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(PHI_PROJ, protocol)) is PHI_PROJ
+        assert pickle.loads(pickle.dumps(TRUE)) is TRUE
+        assert pickle.loads(pickle.dumps(A("a", True))) is A("a", True)
+
+    def test_threads_build_one_object(self):
+        texts = [f"G(p{i} -> X (a{i} U b{i})) & F !c{i}" for i in range(600)]
+        results = [[] for _ in range(4)]
+        threads = [threading.Thread(target=lambda out=out: out.extend(map(parse_formula, texts)))
+                   for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for copies in zip(*results, strict=True):
+            assert all(f is copies[0] for f in copies)
+
+    def test_nodes_are_immutable(self):
+        f = And(A("a"), A("b"))
+        with pytest.raises(AttributeError):
+            f.left = A("c")
+        with pytest.raises(AttributeError):
+            del f.right
+        assert f.left is A("a")
