@@ -4,9 +4,11 @@ Pipeline: negation normal form -> generalized Buchi automaton (tableau
 over closure subsets) -> SCC-based emptiness check -> accepting lasso
 read back as a trace.  The tableau registers only the initial states and
 successors of registered states, so every automaton state is reachable
-and emptiness needs no separate reachability pass.  Every Sat answer is
-self-checked against the queried formula before it is returned; a
-failure here is an engine bug, never a caller error.
+and emptiness needs no separate reachability pass.  It never builds a
+branch that can only die, and expands each distinct next-obligation set
+once: states that share the set share one successor list.  Every Sat
+answer is self-checked against the queried formula before it is
+returned; a failure here is an engine bug, never a caller error.
 """
 
 from __future__ import annotations
@@ -129,7 +131,9 @@ class Gba:
     (``pos`` atoms true, ``neg`` atoms false, the rest unconstrained).
     Acceptance carries one state set per Until subformula.  Every state
     is reachable from ``initial``: ``build_gba`` registers only initial
-    states and successors of registered states.
+    states and successors of registered states.  States with the same
+    next-obligation set share one ``succ`` list object; callers must not
+    mutate it.
     """
 
     states: list[GbaState]
@@ -138,10 +142,9 @@ class Gba:
 
 
 class _Node:
-    __slots__ = ("incoming", "new", "old", "next")
+    __slots__ = ("new", "old", "next")
 
-    def __init__(self, incoming, new, old, next_):
-        self.incoming = incoming    # set of node ids; -1 marks "initial"
+    def __init__(self, new, old, next_):
         self.new = new              # list of formula ids, used as a stack
         self.old = old              # set of processed formula ids
         self.next = next_           # set of obligations for the successor
@@ -153,7 +156,13 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     Subformulas are numbered by their rank in ``postorder(f)``, so the
     tableau's obligation sets are int sets and ids follow first occurrence
     in post-order; the atom under a negative literal is ranked just before
-    it.  Raises ``ValueError`` on a formula outside NNF.
+    it.  ``cover`` never builds a side of a split that can only die, and
+    each distinct next-obligation set is expanded once into one ``succ``
+    list that every state with that set shares, so callers must not mutate
+    it; neither changes the automaton.  Raises ``EngineLimitError`` once
+    more than ``state_cap`` states would be registered, already while one
+    expansion alone yields more, and ``ValueError`` on a formula outside
+    NNF.
     """
     nodes = postorder(f)
     rank = {g: i for i, g in enumerate(nodes)}
@@ -175,20 +184,21 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
         elif k is not Atom and k is not TrueF and k is not FalseF:
             raise ValueError(f"unexpected node in NNF formula: {g!r}")
 
-    covers: dict[frozenset, list[tuple[frozenset, frozenset]]] = {}
+    too_many = f"tableau exceeded the state cap of {state_cap}"
 
     def cover(obligations: frozenset) -> list[tuple[frozenset, frozenset]]:
-        """All (old, next) expansions of the obligation set, memoized.
+        """All distinct (old, next) expansions of the obligation set.
 
-        A state's successor set depends only on its next-obligations, so
-        sharing these expansions collapses most of the tableau work.
+        A side of a split whose pushed obligations hold ``FALSE``, or a
+        literal whose complement is in ``old``, can only die (``FALSE``
+        never enters ``old``, and ``old`` only grows), so it is not built.
+        When the side that continues is the dead one, the node ends and the
+        side pushed just before it is popped next, as it would have been
+        after the dead branch had died; the results keep their order.
         """
-        cached = covers.get(obligations)
-        if cached is not None:
-            return cached
         results: list[tuple[frozenset, frozenset]] = []
         seen: set[tuple[frozenset, frozenset]] = set()
-        pending = [_Node(None, sorted(obligations), set(), set())]
+        pending = [_Node(sorted(obligations), set(), set())]
         while pending:
             node = pending.pop()
             while node is not None and node.new:
@@ -210,31 +220,35 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
                 elif k is Next:
                     node.old.add(g)
                     node.next.add(left[g])
-                else:  # Or, Until, Release split into two branches
-                    old2 = node.old.copy()
-                    old2.add(g)
-                    next2 = node.next.copy()
-                    node.old.add(g)
-                    if k is Or:
-                        branch = _Node(None, node.new + [right[g]], old2, next2)
-                        node.new.append(left[g])
-                    elif k is Until:  # a U b == b | (a & X(a U b))
-                        branch = _Node(None, node.new + [right[g]], old2, next2)
-                        node.new.append(left[g])
-                        node.next.add(g)
-                    else:  # a R b == b & (a | X(a R b))
-                        branch = _Node(None, node.new + [left[g], right[g]],
-                                       old2, next2)
-                        node.new.append(right[g])
-                        node.next.add(g)
-                    pending.append(branch)
+                else:  # Or, Until, Release split into two sides
+                    old = node.old
+                    old.add(g)
+                    a, b = left[g], right[g]
+                    if k is Release:  # a R b == b & (a | X(a R b))
+                        stay = b
+                        if not (kind[a] is FalseF or comp[a] in old
+                                or kind[b] is FalseF or comp[b] in old):
+                            pending.append(_Node(node.new + [a, b], old.copy(),
+                                                 node.next.copy()))
+                    else:  # a | b, and a U b == b | (a & X(a U b))
+                        stay = a
+                        if not (kind[b] is FalseF or comp[b] in old):
+                            pending.append(_Node(node.new + [b], old.copy(),
+                                                 node.next.copy()))
+                    if kind[stay] is FalseF or comp[stay] in old:
+                        node = None
+                    else:
+                        node.new.append(stay)
+                        if k is not Or:
+                            node.next.add(g)
             if node is None:
                 continue
             key = (frozenset(node.old), frozenset(node.next))
             if key not in seen:
                 seen.add(key)
                 results.append(key)
-        covers[obligations] = results
+                if len(results) > state_cap:    # each result becomes a distinct state
+                    raise EngineLimitError(too_many)
         return results
 
     ids: dict[tuple[frozenset, frozenset], int] = {}
@@ -244,16 +258,22 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
         idx = ids.get(key)
         if idx is None:
             if len(order) >= state_cap:
-                raise EngineLimitError(
-                    f"tableau exceeded the state cap of {state_cap}")
+                raise EngineLimitError(too_many)
             idx = ids[key] = len(order)
             order.append(key)
         return idx
 
+    # A state's successors depend only on its next-obligations: one shared
+    # list per distinct set, computed where the set first occurs.
     initial = tuple(state_id(key) for key in cover(frozenset((len(nodes) - 1,))))
+    succ_of: dict[frozenset, list[int]] = {}
     succs: list[list[int]] = []
     while len(succs) < len(order):
-        succs.append(sorted({state_id(k) for k in cover(order[len(succs)][1])}))
+        nxt = order[len(succs)][1]
+        succ = succ_of.get(nxt)
+        if succ is None:
+            succ = succ_of[nxt] = sorted({state_id(k) for k in cover(nxt)})
+        succs.append(succ)
 
     states: list[GbaState] = []
     for (old, _), succ in zip(order, succs):

@@ -39,8 +39,22 @@ class Formula:
     def __repr__(self) -> str:
         return print_formula(self)
 
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self._fields)
+        # A flat post-order encoding, so pickling does not recurse per level.
+        rank: dict[Formula, int] = {}
+        rows = []
+        for node in postorder(self):
+            rank[node] = len(rows)
+            cls = node.__class__
+            rows.append((cls, node.base, node.primed) if cls is Atom else
+                        (cls, *(rank[getattr(node, name)] for name in cls._fields)))
+        return _from_postorder, (rows,)
 
 
 # The unique table: node key -> weak reference to the node.  Keys hold the
@@ -68,6 +82,14 @@ def _intern(cls, key: tuple, values: tuple) -> Formula:
                     del _table[dead]
                 _sweep_at = 2 * len(_table) + 4096
         return node
+
+
+def _from_postorder(rows: list[tuple]) -> Formula:
+    """The formula whose ``Formula.__reduce__`` encoding is ``rows``; its root is last."""
+    built: list[Formula] = []
+    for cls, *fields in rows:
+        built.append(cls(*fields) if cls is Atom else cls(*(built[i] for i in fields)))
+    return built[-1]
 
 
 class TrueF(Formula):

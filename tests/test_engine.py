@@ -1,7 +1,9 @@
 """Satisfiability engine: NNF, automaton construction, emptiness, oracles."""
 
+import hashlib
 import random
 import sys
+import time
 
 import pytest
 
@@ -18,12 +20,14 @@ from ltlsplit import (
     find_accepting_lasso,
     lasso,
     ltl_sat,
+    make_spec,
     parse_formula,
+    partition,
     state,
     to_nnf,
 )
 from ltlsplit.formula import Until, postorder
-from helpers import small_formula
+from helpers import FIXTURES, fixture_spec, small_formula
 
 INTRO_PHI = parse_formula(
     "G((p -> X(v & !t)) & (!p -> X(!v & t)) & "
@@ -100,6 +104,18 @@ class TestBuildGba:
         with pytest.raises(EngineLimitError):
             build_gba(to_nnf(parse_formula("a | b")), state_cap=1)
 
+    def test_state_cap_stops_an_expansion_that_cannot_fit(self):
+        """The 2**18 initial states of this chain are not all expanded under cap 5.
+
+        Expanding all of them before the first state is refused took about
+        5 s; one expansion that has produced more states than the cap stops.
+        """
+        f = parse_formula(" & ".join(f"(a{i} | b{i})" for i in range(18)))
+        start = time.perf_counter()
+        with pytest.raises(EngineLimitError, match="state cap of 5$"):
+            build_gba(to_nnf(f), state_cap=5)
+        assert time.perf_counter() - start < 1.0
+
     def test_every_state_reachable_from_initial(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -121,6 +137,55 @@ class TestBuildGba:
                 == [(s.pos, s.neg, s.succ) for s in g2.states])
         assert g1.initial == g2.initial
         assert g1.acceptance == g2.acceptance
+
+
+# SHA-256, per spec, of every automaton ``partition`` builds for it, as
+# recorded at commit 30b4544.
+AUTOMATON_DIGESTS = {
+    "chain3": "f611134a5a1510abf4f67960f9f59dea2e3c432eb9b5af7d9752605858b59445",
+    "intro": "d3b64719ec2afe9af42786a489f0ae9fc7cfb03ff6e3309ee0d0dcf2870cdafb",
+    "not_ind": "9405dde171fa60936218bade76db3a0ea1c17aaed89dc4ff0919c120c3b574b1",
+    "pair": "b11456355f69bc780dad3aabdd79496af55c312110c840e54e914c5b4822dca6",
+    "surprise": "92233e039dcbb2da7be320c9182d0c0fa5034efddc6d9ebc7acb24a407f7a13d",
+    "tail": "9dbcb40c9e35f442ff5006c90beeec650e5c194abdf4816e63395b39f5498b3e",
+    "triple": "e945f07c3df6e5187bffa8d2f998ac5bad83cc6d0b7ceb5db784ea10967cee77",
+}
+
+
+class _DigestingSolver:
+    """Answers each query from its tableau and hashes every state, guard and edge."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def solve(self, f):
+        gba = build_gba(to_nnf(f))
+        for st in gba.states:
+            self.digest.update(repr((st.pos, st.neg, st.succ)).encode())
+        self.digest.update(repr((gba.initial, [sorted(a) for a in gba.acceptance])).encode())
+        result = find_accepting_lasso(gba)
+        assert not result.is_sat or eval_formula(result.witness, f, 0)
+        return result
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), "chain3"])
+def test_partition_automata_are_pinned(name):
+    """The tableau of every partition query is the one it has always been.
+
+    Speed-ups of the tableau must keep every automaton identical: states in
+    the same order, with the same guards, successor lists, initial states
+    and acceptance sets.  A change meant to alter automata (ROADMAP items
+    3-5) updates these digests and names, in CHANGES.md, the witnesses that
+    changed.
+    """
+    if name == "chain3":
+        spec = make_spec(["p"], ["a0", "a1", "a2"], parse_formula(
+            "G((p -> X a0) & (a0 -> X a1) & (a1 -> X a2))"))
+    else:
+        spec = fixture_spec(name)
+    solver = _DigestingSolver()
+    partition(spec, solver)
+    assert solver.digest.hexdigest() == AUTOMATON_DIGESTS[name]
 
 
 class TestFindAcceptingLasso:

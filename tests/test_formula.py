@@ -207,6 +207,9 @@ class TestDeepFormulas:
     def test_copies_are_the_node_itself(self, name):
         f = parse_formula(DEEP[name][0])
         assert copy.copy(f) is f
+        assert copy.deepcopy(f) is f
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
 
     def test_dropped_formula_is_freed(self, name):
         def swept_size():
