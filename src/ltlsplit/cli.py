@@ -148,9 +148,12 @@ def main(argv=None) -> int:
 
     evidence_path = None
     if config.log_queries:
-        evidence_path = config.input_path.with_name(
-            config.input_path.name + ".evidence.jsonl")
-        _write_evidence(evidence_path, result)
+        evidence_path = config.input_path.with_name(config.input_path.name + ".evidence.jsonl")
+        try:
+            _write_evidence(evidence_path, result)
+        except OSError as exc:
+            print(f"error: cannot write {evidence_path}: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
     blocks = _sorted_blocks(result.blocks, spec.sys)
     payload = {

@@ -1,14 +1,15 @@
 """LTL satisfiability with lasso witnesses.
 
 Pipeline: negation normal form -> generalized Buchi automaton (tableau
-over closure subsets) -> SCC-based emptiness check -> accepting lasso
-read back as a trace.  The tableau registers only the initial states and
-successors of registered states, so every automaton state is reachable
-and emptiness needs no separate reachability pass.  It never builds a
-branch that can only die, and expands each distinct next-obligation set
-once: states that share the set share one successor list.  Every Sat
-answer is self-checked against the queried formula before it is
-returned; a failure here is an engine bug, never a caller error.
+over closure subsets as rank bitmasks) -> SCC-based emptiness check ->
+accepting lasso read back as a trace.  The tableau registers only the
+initial states and successors of registered states, so every automaton
+state is reachable and emptiness needs no separate reachability pass.
+It never builds a branch that can only die, and expands each distinct
+next-obligation set once: states that share the set share one successor
+list.  Every Sat answer is self-checked against the queried formula
+before it is returned; a failure here is an engine bug, never a caller
+error.
 """
 
 from __future__ import annotations
@@ -141,25 +142,25 @@ class Gba:
     acceptance: tuple[frozenset[int], ...]
 
 
-class _Node:
-    __slots__ = ("new", "old", "next")
-
-    def __init__(self, new, old, next_):
-        self.new = new              # list of formula ids, used as a stack
-        self.old = old              # set of processed formula ids
-        self.next = next_           # set of obligations for the successor
+def _ids(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     """Tableau construction; ``f`` must be in negation normal form.
 
-    Subformulas are numbered by their rank in ``postorder(f)``, so the
-    tableau's obligation sets are int sets and ids follow first occurrence
-    in post-order; the atom under a negative literal is ranked just before
-    it.  ``cover`` never builds a side of a split that can only die, and
-    each distinct next-obligation set is expanded once into one ``succ``
-    list that every state with that set shares, so callers must not mutate
-    it; neither changes the automaton.  Raises ``EngineLimitError`` once
+    Subformulas are numbered by their rank in ``postorder(f)`` (the atom
+    under a negative literal just before it), and the tableau's obligation
+    sets are int bitmasks over ranks.  ``cover`` never builds a side of a
+    split that can only die, and each distinct next-obligation set is
+    expanded once into one ``succ`` list shared by every state with that
+    set; neither changes the automaton.  Raises ``EngineLimitError`` once
     more than ``state_cap`` states would be registered, already while one
     expansion alone yields more, and ``ValueError`` on a formula outside
     NNF.
@@ -169,26 +170,31 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     kind = [g.__class__ for g in nodes]
     left = [-1] * len(nodes)        # first child id, or -1
     right = [-1] * len(nodes)       # second child id, or -1
-    comp = [-1] * len(nodes)        # complementary literal id, or -1
+    comp = [0] * len(nodes)         # bit of the complementary literal, or 0
+    literals = 0                    # bits of the Atom and Not nodes
     for i, g in enumerate(nodes):
         k = kind[i]
-        if k is Not:
+        if k is Atom:
+            literals |= 1 << i
+        elif k is Not:
             if g.arg.__class__ is not Atom:
                 raise ValueError("negation on a non-atom: formula not in NNF")
-            comp[i] = rank[g.arg]
-            comp[comp[i]] = i
+            a = rank[g.arg]
+            comp[i], comp[a] = 1 << a, 1 << i
+            literals |= 1 << i
         elif k is And or k is Or or k is Until or k is Release:
             left[i], right[i] = rank[g.left], rank[g.right]
         elif k is Next:
             left[i] = rank[g.arg]
-        elif k is not Atom and k is not TrueF and k is not FalseF:
+        elif k is not TrueF and k is not FalseF:
             raise ValueError(f"unexpected node in NNF formula: {g!r}")
 
     too_many = f"tableau exceeded the state cap of {state_cap}"
 
-    def cover(obligations: frozenset) -> list[tuple[frozenset, frozenset]]:
-        """All distinct (old, next) expansions of the obligation set.
+    def cover(obligations: int) -> dict[tuple[int, int], None]:
+        """All distinct (old, next) expansions of the obligation set, in order.
 
+        A pending side is (new, old, next): an id stack and two bitmasks.
         A side of a split whose pushed obligations hold ``FALSE``, or a
         literal whose complement is in ``old``, can only die (``FALSE``
         never enters ``old``, and ``old`` only grows), so it is not built.
@@ -196,65 +202,58 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
         side pushed just before it is popped next, as it would have been
         after the dead branch had died; the results keep their order.
         """
-        results: list[tuple[frozenset, frozenset]] = []
-        seen: set[tuple[frozenset, frozenset]] = set()
-        pending = [_Node(sorted(obligations), set(), set())]
+        results: dict[tuple[int, int], None] = {}
+        pending = [(_ids(obligations), 0, 0)]
         while pending:
-            node = pending.pop()
-            while node is not None and node.new:
-                g = node.new.pop()
+            new, old, nxt = pending.pop()
+            while new:
+                g = new.pop()
+                bit = 1 << g
                 k = kind[g]
-                if g in node.old or k is TrueF:
+                if old & bit or k is TrueF:
                     continue
                 if k is FalseF:
-                    node = None
-                elif k is Atom or k is Not:
-                    if comp[g] in node.old:
-                        node = None
-                    else:
-                        node.old.add(g)
+                    break
+                if k is Atom or k is Not:
+                    if comp[g] & old:
+                        break
+                    old |= bit
                 elif k is And:
-                    node.old.add(g)
-                    node.new.append(left[g])
-                    node.new.append(right[g])
+                    old |= bit
+                    new.append(left[g])
+                    new.append(right[g])
                 elif k is Next:
-                    node.old.add(g)
-                    node.next.add(left[g])
+                    old |= bit
+                    nxt |= 1 << left[g]
                 else:  # Or, Until, Release split into two sides
-                    old = node.old
-                    old.add(g)
+                    old |= bit
                     a, b = left[g], right[g]
                     if k is Release:  # a R b == b & (a | X(a R b))
                         stay = b
-                        if not (kind[a] is FalseF or comp[a] in old
-                                or kind[b] is FalseF or comp[b] in old):
-                            pending.append(_Node(node.new + [a, b], old.copy(),
-                                                 node.next.copy()))
+                        if not (kind[a] is FalseF or comp[a] & old
+                                or kind[b] is FalseF or comp[b] & old):
+                            pending.append((new + [a, b], old, nxt))
                     else:  # a | b, and a U b == b | (a & X(a U b))
                         stay = a
-                        if not (kind[b] is FalseF or comp[b] in old):
-                            pending.append(_Node(node.new + [b], old.copy(),
-                                                 node.next.copy()))
-                    if kind[stay] is FalseF or comp[stay] in old:
-                        node = None
-                    else:
-                        node.new.append(stay)
-                        if k is not Or:
-                            node.next.add(g)
-            if node is None:
-                continue
-            key = (frozenset(node.old), frozenset(node.next))
-            if key not in seen:
-                seen.add(key)
-                results.append(key)
-                if len(results) > state_cap:    # each result becomes a distinct state
-                    raise EngineLimitError(too_many)
+                        if not (kind[b] is FalseF or comp[b] & old):
+                            pending.append((new + [b], old, nxt))
+                    if kind[stay] is FalseF or comp[stay] & old:
+                        break
+                    new.append(stay)
+                    if k is not Or:
+                        nxt |= bit
+            else:
+                key = (old, nxt)
+                if key not in results:
+                    results[key] = None
+                    if len(results) > state_cap:    # each result becomes a distinct state
+                        raise EngineLimitError(too_many)
         return results
 
-    ids: dict[tuple[frozenset, frozenset], int] = {}
-    order: list[tuple[frozenset, frozenset]] = []
+    ids: dict[tuple[int, int], int] = {}
+    order: list[tuple[int, int]] = []
 
-    def state_id(key: tuple[frozenset, frozenset]) -> int:
+    def state_id(key: tuple[int, int]) -> int:
         idx = ids.get(key)
         if idx is None:
             if len(order) >= state_cap:
@@ -265,8 +264,8 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
 
     # A state's successors depend only on its next-obligations: one shared
     # list per distinct set, computed where the set first occurs.
-    initial = tuple(state_id(key) for key in cover(frozenset((len(nodes) - 1,))))
-    succ_of: dict[frozenset, list[int]] = {}
+    initial = tuple(state_id(key) for key in cover(1 << len(nodes) - 1))
+    succ_of: dict[int, list[int]] = {}
     succs: list[list[int]] = []
     while len(succs) < len(order):
         nxt = order[len(succs)][1]
@@ -275,16 +274,21 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
             succ = succ_of[nxt] = sorted({state_id(k) for k in cover(nxt)})
         succs.append(succ)
 
+    guards: dict[int, tuple] = {}   # one (pos, neg) per set of literals in ``old``
     states: list[GbaState] = []
     for (old, _), succ in zip(order, succs):
-        pos = sorted((nodes[x] for x in old if kind[x] is Atom), key=_ATOM_ORDER)
-        neg = sorted((nodes[x].arg for x in old if kind[x] is Not), key=_ATOM_ORDER)
-        states.append(GbaState(tuple(pos), tuple(neg), succ))
+        held = old & literals
+        if held not in guards:
+            lits = [nodes[x] for x in _ids(held)]
+            pos = sorted((g for g in lits if g.__class__ is Atom), key=_ATOM_ORDER)
+            neg = sorted((g.arg for g in lits if g.__class__ is Not), key=_ATOM_ORDER)
+            guards[held] = tuple(pos), tuple(neg)
+        states.append(GbaState(*guards[held], succ))
 
     untils = [g for g in range(len(kind)) if kind[g] is Until]
     acceptance = tuple(
-        frozenset(idx for idx, key in enumerate(order)
-                  if g not in key[0] or right[g] in key[0])
+        frozenset(idx for idx, (old, _) in enumerate(order)
+                  if not old >> g & 1 or old >> right[g] & 1)
         for g in untils)
     return Gba(states, initial, acceptance)
 
@@ -294,7 +298,6 @@ def _sccs(gba: Gba) -> list[list[int]]:
     n = len(gba.states)
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 0
@@ -302,41 +305,36 @@ def _sccs(gba: Gba) -> list[list[int]]:
     for root in range(n):
         if index[root] >= 0:
             continue
-        work = [(root, 0)]
+        work = [(root, None)]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
+            v, succ = work[-1]
+            if succ is None:            # first visit: number v, then walk its edges
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            succ = gba.states[v].succ
-            while pi < len(succ):
-                w = succ[pi]
-                pi += 1
+                succ = iter(gba.states[v].succ)
+                work[-1] = v, succ
+            for w in succ:
                 if index[w] < 0:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+                    work.append((w, None))
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+                if index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        index[w] = n    # off the stack: edges to w no longer lower low
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(sorted(comp))
+                if work:
+                    u, _ = work[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
     return sccs
 
 
@@ -380,16 +378,12 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     """
     if not gba.initial:
         return UNSAT
-    target_scc = None
     for comp in _sccs(gba):
-        comp_set = set(comp)
-        has_edge = any(w in comp_set for v in comp for w in gba.states[v].succ)
-        if not has_edge:
-            continue
-        if all(comp_set & acc for acc in gba.acceptance):
-            target_scc = comp_set
+        target_scc = set(comp)
+        if (any(w in target_scc for v in comp for w in gba.states[v].succ)
+                and all(target_scc & acc for acc in gba.acceptance)):
             break
-    if target_scc is None:
+    else:
         return UNSAT
 
     entry_path = _bfs_path(gba, sorted(gba.initial), target_scc, None)
@@ -410,12 +404,10 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     assert closing is not None
     cycle.extend(closing[1:-1])
 
-    def guard_state(idx: int) -> frozenset[Atom]:
-        return frozenset(gba.states[idx].pos)
+    def letters(path: list[int]) -> tuple[frozenset[Atom], ...]:
+        return tuple(frozenset(gba.states[i].pos) for i in path)
 
-    trace = LassoTrace(tuple(guard_state(i) for i in prefix_nodes),
-                       tuple(guard_state(i) for i in cycle))
-    return SatResult(trace)
+    return SatResult(LassoTrace(letters(prefix_nodes), letters(cycle)))
 
 
 def ltl_sat(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> SatResult:
@@ -453,9 +445,11 @@ class ExternalSolver:
     def solve(self, f: Formula) -> SatResult:
         try:
             proc = subprocess.run(self.command, input=print_formula(f) + "\n",
-                                  capture_output=True, text=True, timeout=300)
+                                  capture_output=True, encoding="utf-8", timeout=300)
         except (OSError, subprocess.TimeoutExpired) as exc:
             raise ExternalSolverError(f"external solver failed to run: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ExternalSolverError(f"external solver output is not UTF-8: {exc}") from exc
         if proc.returncode != 0:
             raise ExternalSolverError(
                 f"external solver exited with {proc.returncode}: {proc.stderr.strip()}")

@@ -103,6 +103,11 @@ class TestMain:
             assert (record["witness"] is None) == (record["verdict"] == "UNSAT")
             assert record["millis"] >= 0
 
+    def test_evidence_file_unwritable(self, intro_file, capsys):
+        intro_file.with_name("intro.spec.evidence.jsonl").mkdir()
+        assert main([str(intro_file), "--log-queries"]) == EXIT_INPUT
+        assert "error: cannot write" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.spec")]) == EXIT_INPUT
         assert "cannot read" in capsys.readouterr().err

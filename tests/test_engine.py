@@ -116,6 +116,17 @@ class TestBuildGba:
             build_gba(to_nnf(f), state_cap=5)
         assert time.perf_counter() - start < 1.0
 
+    def test_state_cap_is_exact(self):
+        """An automaton of n states builds under cap n and is refused under n - 1."""
+        rng = random.Random(12)
+        for _ in range(50):
+            f = to_nnf(small_formula(rng, ["p", "q", "r"], 6))
+            n = len(build_gba(f).states)
+            assert len(build_gba(f, state_cap=n).states) == n
+            if n:
+                with pytest.raises(EngineLimitError):
+                    build_gba(f, state_cap=n - 1)
+
     def test_every_state_reachable_from_initial(self):
         rng = random.Random(11)
         for _ in range(50):
@@ -140,12 +151,13 @@ class TestBuildGba:
 
 
 # SHA-256, per spec, of every automaton ``partition`` builds for it, as
-# recorded at commit 30b4544.
+# recorded at commit 30b4544 (resp3 at commit 843b7f3).
 AUTOMATON_DIGESTS = {
     "chain3": "f611134a5a1510abf4f67960f9f59dea2e3c432eb9b5af7d9752605858b59445",
     "intro": "d3b64719ec2afe9af42786a489f0ae9fc7cfb03ff6e3309ee0d0dcf2870cdafb",
     "not_ind": "9405dde171fa60936218bade76db3a0ea1c17aaed89dc4ff0919c120c3b574b1",
     "pair": "b11456355f69bc780dad3aabdd79496af55c312110c840e54e914c5b4822dca6",
+    "resp3": "e891865d0e45642be72cc19ae97a5359b24a91e283ffe64a29e916003ee4b5a1",
     "surprise": "92233e039dcbb2da7be320c9182d0c0fa5034efddc6d9ebc7acb24a407f7a13d",
     "tail": "9dbcb40c9e35f442ff5006c90beeec650e5c194abdf4816e63395b39f5498b3e",
     "triple": "e945f07c3df6e5187bffa8d2f998ac5bad83cc6d0b7ceb5db784ea10967cee77",
@@ -168,7 +180,16 @@ class _DigestingSolver:
         return result
 
 
-@pytest.mark.parametrize("name", [*sorted(FIXTURES), "chain3"])
+# Specs beyond the fixtures: a response chain, and three disjoint responses.
+EXTRA_SPECS = {
+    "chain3": (["p"], ["a0", "a1", "a2"],
+               "G((p -> X a0) & (a0 -> X a1) & (a1 -> X a2))"),
+    "resp3": (["p0", "p1", "p2"], ["a0", "a1", "a2"],
+              "G(p0 -> X a0) & G(p1 -> X a1) & G(p2 -> X a2)"),
+}
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), *EXTRA_SPECS])
 def test_partition_automata_are_pinned(name):
     """The tableau of every partition query is the one it has always been.
 
@@ -178,9 +199,9 @@ def test_partition_automata_are_pinned(name):
     3-5) updates these digests and names, in CHANGES.md, the witnesses that
     changed.
     """
-    if name == "chain3":
-        spec = make_spec(["p"], ["a0", "a1", "a2"], parse_formula(
-            "G((p -> X a0) & (a0 -> X a1) & (a1 -> X a2))"))
+    if name in EXTRA_SPECS:
+        env, sys_, formula = EXTRA_SPECS[name]
+        spec = make_spec(env, sys_, parse_formula(formula))
     else:
         spec = fixture_spec(name)
     solver = _DigestingSolver()
@@ -286,6 +307,11 @@ class TestExternalSolver:
         with pytest.raises(ExternalSolverError, match="malformed witness"):
             fake_solver("print('SAT'); print('not a trace')").solve(
                 parse_formula("a"))
+
+    def test_output_not_utf8(self):
+        with pytest.raises(ExternalSolverError, match="not UTF-8"):
+            fake_solver("import sys; sys.stdout.buffer.write(bytes([255, 254]) + b'\\n')"
+                        ).solve(parse_formula("a"))
 
     def test_command_string_split(self):
         solver = ExternalSolver("solver --flag arg")
