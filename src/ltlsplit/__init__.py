@@ -20,7 +20,6 @@ from .formula import (
     lock_conjunct,
     print_formula,
     rename_projection,
-    unprime,
 )
 from .parser import Spec, SpecError, make_spec, parse_formula, parse_spec
 from .traces import (
@@ -28,11 +27,8 @@ from .traces import (
     compute_z,
     eval_formula,
     format_trace,
-    lasso,
     parse_trace,
-    project_trace,
     state,
-    strip_primes,
 )
 from .engine import (
     EngineLimitError,
@@ -56,5 +52,21 @@ from .decompose import (
     verify_partition,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # formula
+    "Always", "And", "Atom", "Eventually", "FALSE", "Formula", "Iff", "Implies",
+    "Next", "Not", "Or", "Release", "TRUE", "Until",
+    "atoms", "dependence_query", "lock_conjunct", "print_formula", "rename_projection",
+    # parser
+    "Spec", "SpecError", "make_spec", "parse_formula", "parse_spec",
+    # traces
+    "LassoTrace", "compute_z", "eval_formula", "format_trace", "parse_trace", "state",
+    # engine
+    "EngineLimitError", "ExternalSolver", "ExternalSolverError", "InternalSolver",
+    "SatResult", "UNSAT", "WitnessSoundnessError",
+    "build_gba", "find_accepting_lasso", "ltl_sat", "to_nnf",
+    # decompose
+    "Block", "InvariantViolation", "PartitionResult",
+    "check_independent", "partition", "verify_partition",
+]
 __version__ = "0.1.0"

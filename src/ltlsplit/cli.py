@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .decompose import InvariantViolation, partition, verify_partition
@@ -38,21 +39,20 @@ class RunConfig:
     audit_minimality: bool = False
     log_queries: bool = False
     quiet: bool = False
+    solver: InternalSolver | ExternalSolver = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.state_cap < 1:
             raise ValueError("state cap must be >= 1")
         try:
-            self.make_solver()
+            if self.engine == "internal":
+                self.solver = InternalSolver(self.state_cap)
+            elif self.engine.startswith("external:"):
+                self.solver = ExternalSolver(self.engine[len("external:"):])
+            else:
+                raise ValueError("expected 'internal' or 'external:<command>'")
         except ValueError as exc:
             raise ValueError(f"bad engine {self.engine!r}: {exc}") from None
-
-    def make_solver(self):
-        if self.engine == "internal":
-            return InternalSolver(self.state_cap)
-        if self.engine.startswith("external:"):
-            return ExternalSolver(self.engine[len("external:"):])
-        raise ValueError("expected 'internal' or 'external:<command>'")
 
 
 def _build_config(argv) -> RunConfig:
@@ -108,7 +108,7 @@ def main(argv=None) -> int:
 
     try:
         text = config.input_path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
@@ -118,8 +118,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     try:
-        solver = config.make_solver()
-        result = partition(spec, solver, config.order)
+        result = partition(spec, config.solver, config.order)
     except EngineLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
@@ -134,7 +133,7 @@ def main(argv=None) -> int:
     audit_failed = False
     if config.verify or config.audit_minimality:
         try:
-            report = verify_partition(spec, result, solver,
+            report = verify_partition(spec, result, config.solver,
                                       minimality=config.audit_minimality)
         except (EngineLimitError, ExternalSolverError) as exc:
             print(f"error: audit: {exc}", file=sys.stderr)
@@ -166,18 +165,26 @@ def main(argv=None) -> int:
     if evidence_path is not None:
         payload["evidence_path"] = str(evidence_path)
 
-    if config.output_format == "json":
-        print(json.dumps(payload, indent=2))
-    elif not config.quiet:
-        print(f"env: {' '.join(spec.env)}")
-        print(f"sys: {' '.join(spec.sys)}")
-        for i, members in enumerate(blocks, 1):
-            print(f"block {i}: {{{', '.join(members)}}}")
-        print(f"solver queries: {result.query_count}")
-        for name, ok in audits.items():
-            print(f"audit {name}: {'pass' if ok else 'FAIL'}")
-        if evidence_path is not None:
-            print(f"evidence: {evidence_path}")
+    try:
+        if config.output_format == "json":
+            print(json.dumps(payload, indent=2))
+        elif not config.quiet:
+            print(f"env: {' '.join(spec.env)}")
+            print(f"sys: {' '.join(spec.sys)}")
+            for i, members in enumerate(blocks, 1):
+                print(f"block {i}: {{{', '.join(members)}}}")
+            print(f"solver queries: {result.query_count}")
+            for name, ok in audits.items():
+                print(f"audit {name}: {'pass' if ok else 'FAIL'}")
+            if evidence_path is not None:
+                print(f"evidence: {evidence_path}")
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # Nobody reads standard output any more; point it at the null device
+        # so that the flush at interpreter exit stays silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
 
     return EXIT_AUDIT if audit_failed else EXIT_OK
 

@@ -246,11 +246,6 @@ def rename_projection(f: Formula, w: Iterable[str]) -> Formula:
     return map_atoms(f, prime)
 
 
-def unprime(f: Formula) -> Formula:
-    """Replace every primed atom by its unprimed base variable."""
-    return map_atoms(f, lambda a: Atom(a.base, False) if a.primed else a)
-
-
 def lock_conjunct(f: Formula, z: str) -> Formula:
     """Conjoin the constraint that ``z`` always agrees with its primed copy.
 

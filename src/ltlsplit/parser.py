@@ -182,8 +182,8 @@ class _FormulaParser:
         return operands[0]
 
 
-def parse_formula(text: str, start_line: int = 1, start_col: int = 1) -> Formula:
-    return _FormulaParser(_tokenize(text, start_line, start_col)).parse()
+def parse_formula(text: str) -> Formula:
+    return _FormulaParser(_tokenize(text)).parse()
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd
 
 from .formula import (
     Always,
@@ -61,20 +60,6 @@ class LassoTrace:
     def positions(self) -> int:
         """Number of distinct positions: |prefix| + |loop|."""
         return len(self.prefix) + len(self.loop)
-
-    def unroll(self, prefix_len: int, loop_len: int) -> "LassoTrace":
-        """Re-shape to a longer, equivalent representation of the same word."""
-        if prefix_len < len(self.prefix) or loop_len % len(self.loop) != 0:
-            raise ValueError("incompatible unroll shape")
-        prefix = tuple(self.state_at(i) for i in range(prefix_len))
-        loop = tuple(self.state_at(prefix_len + i) for i in range(loop_len))
-        return LassoTrace(prefix, loop)
-
-
-def lasso(prefix_states, loop_states) -> LassoTrace:
-    return LassoTrace(tuple(map(frozenset, prefix_states)),
-                      tuple(map(frozenset, loop_states)))
-
 
 def _canon(trace: LassoTrace, i: int) -> int:
     p = len(trace.prefix)
@@ -146,32 +131,6 @@ def eval_formula(trace: LassoTrace, f: Formula, i: int = 0) -> bool:
     return _values(trace, f)[_canon(trace, i)]
 
 
-def project_trace(trace: LassoTrace, keep, system) -> LassoTrace:
-    """Keep environment atoms plus system atoms in ``keep``; drop primes.
-
-    ``system`` is the full set of system variable names; every unprimed
-    atom outside it is treated as an environment atom and kept.
-    """
-    keep = frozenset(keep)
-    system = frozenset(system)
-
-    def proj(s: State) -> State:
-        return frozenset(a for a in s
-                         if not a.primed and (a.base not in system or a.base in keep))
-
-    return LassoTrace(tuple(proj(s) for s in trace.prefix),
-                      tuple(proj(s) for s in trace.loop))
-
-
-def strip_primes(trace: LassoTrace) -> LassoTrace:
-    """Drop every primed atom from every state; lengths are preserved."""
-    def strip(s: State) -> State:
-        return frozenset(a for a in s if not a.primed)
-
-    return LassoTrace(tuple(strip(s) for s in trace.prefix),
-                      tuple(strip(s) for s in trace.loop))
-
-
 def compute_z(trace: LassoTrace, candidates) -> tuple[str, ...]:
     """Variables whose primed and unprimed copies disagree at some position.
 
@@ -189,23 +148,16 @@ def compute_z(trace: LassoTrace, candidates) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _atom_key(var_order):
-    if var_order is None:
-        return lambda a: (a.base, a.primed)
-    index = {name: i for i, name in enumerate(var_order)}
-    return lambda a: (index.get(a.base, len(index)), a.base, a.primed)
-
-
-def format_state(s: State, var_order=None) -> str:
-    key = _atom_key(var_order)
-    names = [a.base + ("'" if a.primed else "") for a in sorted(s, key=key)]
+def format_state(s: State) -> str:
+    names = [a.base + ("'" if a.primed else "")
+             for a in sorted(s, key=lambda a: (a.base, a.primed))]
     return "{" + ", ".join(names) + "}"
 
 
-def format_trace(trace: LassoTrace, var_order=None) -> str:
+def format_trace(trace: LassoTrace) -> str:
     """Bit-exact evidence serialization: ``s1 ; s2 | t1 ; t2``."""
-    pre = " ; ".join(format_state(s, var_order) for s in trace.prefix)
-    loop = " ; ".join(format_state(s, var_order) for s in trace.loop)
+    pre = " ; ".join(map(format_state, trace.prefix))
+    loop = " ; ".join(map(format_state, trace.loop))
     return f"{pre} | {loop}" if pre else f"| {loop}"
 
 
@@ -231,10 +183,3 @@ def parse_trace(text: str) -> LassoTrace:
     if not loop:
         raise ValueError("trace loop must be nonempty")
     return LassoTrace(parse_states(pre_text), loop)
-
-
-def align_shapes(shape1: tuple[int, int], shape2: tuple[int, int]) -> tuple[int, int]:
-    """Common shape for joining: max prefix, lcm of loop lengths."""
-    p = max(shape1[0], shape2[0])
-    l1, l2 = shape1[1], shape2[1]
-    return p, l1 * l2 // gcd(l1, l2)

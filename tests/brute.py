@@ -3,16 +3,18 @@
 ``bounded_sat`` exhaustively enumerates every lasso of a fixed shape, so
 it can cross-check the engine without sharing any code path with the
 tableau.  The trace-set operations realize the projection/join algebra
-on explicit finite sets.
+on explicit finite sets.  Of the package it uses only the formula nodes,
+``atoms``, ``LassoTrace``, ``SatResult`` and ``UNSAT``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
-from .formula import (
+from ltlsplit.formula import (
     Always,
     And,
     Atom,
@@ -29,8 +31,8 @@ from .formula import (
     Until,
     atoms,
 )
-from .engine import SatResult, UNSAT
-from .traces import LassoTrace, align_shapes, project_trace
+from ltlsplit.engine import SatResult, UNSAT
+from ltlsplit.traces import LassoTrace
 
 ENUMERATION_BUDGET = 2 ** 22
 
@@ -141,6 +143,31 @@ def bounded_sat(f: Formula, prefix_len: int, loop_len: int) -> SatResult:
     return UNSAT
 
 
+def project_lasso(trace: LassoTrace, keep, system) -> LassoTrace:
+    """Keep environment atoms plus system atoms in ``keep``; drop primes.
+
+    ``system`` is the full set of system variable names; every unprimed
+    atom outside it is treated as an environment atom and kept.
+    """
+    keep = frozenset(keep)
+    system = frozenset(system)
+
+    def proj(s):
+        return frozenset(a for a in s
+                         if not a.primed and (a.base not in system or a.base in keep))
+
+    return LassoTrace(tuple(proj(s) for s in trace.prefix),
+                      tuple(proj(s) for s in trace.loop))
+
+
+def unroll_lasso(trace: LassoTrace, prefix_len: int, loop_len: int) -> LassoTrace:
+    """Re-shape to a longer, equivalent representation of the same word."""
+    if prefix_len < len(trace.prefix) or loop_len % len(trace.loop) != 0:
+        raise ValueError("incompatible unroll shape")
+    return LassoTrace(tuple(trace.state_at(i) for i in range(prefix_len)),
+                      tuple(trace.state_at(prefix_len + i) for i in range(loop_len)))
+
+
 @dataclass(frozen=True)
 class TraceSet:
     """A finite, explicit set of lasso traces over env plus ``sys_vars``.
@@ -178,20 +205,21 @@ def set_project(sigma: TraceSet, w) -> TraceSet:
     """Element-wise trace projection over ``w``, deduplicated."""
     w = frozenset(w)
     kept = tuple(v for v in sigma.sys_vars if v in w)
-    projected = frozenset(project_trace(t, w, set(sigma.sys_vars))
+    projected = frozenset(project_lasso(t, w, sigma.sys_vars)
                           for t in sigma.traces)
     return TraceSet(sigma.env, kept, sigma.prefix_len, sigma.loop_len, projected)
 
 
 def align(s1: TraceSet, s2: TraceSet) -> tuple[TraceSet, TraceSet]:
     """Unroll both sets to a common shape (max prefix, lcm of loops)."""
-    p, l = align_shapes(s1.shape, s2.shape)
+    p = max(s1.prefix_len, s2.prefix_len)
+    l = s1.loop_len * s2.loop_len // gcd(s1.loop_len, s2.loop_len)
 
     def reshape(s: TraceSet) -> TraceSet:
         if s.shape == (p, l):
             return s
         return TraceSet(s.env, s.sys_vars, p, l,
-                        frozenset(t.unroll(p, l) for t in s.traces))
+                        frozenset(unroll_lasso(t, p, l) for t in s.traces))
 
     return reshape(s1), reshape(s2)
 

@@ -11,6 +11,7 @@ from ltlsplit import (
     Eventually,
     Iff,
     Implies,
+    LassoTrace,
     Next,
     Not,
     Or,
@@ -50,6 +51,12 @@ def fixture_spec(name: str) -> Spec:
 def spec_text(name: str) -> str:
     env, sys_, text = FIXTURES[name]
     return f"env: {env}\nsys: {sys_}\nformula: {text}\n"
+
+
+def lasso(prefix_states, loop_states) -> LassoTrace:
+    """A lasso trace from any iterables of atoms, one per state."""
+    return LassoTrace(tuple(map(frozenset, prefix_states)),
+                      tuple(map(frozenset, loop_states)))
 
 
 def random_formula(rng: random.Random, names: list[str], depth: int):

@@ -22,15 +22,14 @@ from ltlsplit import (
     compute_z,
     dependence_query,
     eval_formula,
-    lasso,
     ltl_sat,
     parse_formula,
     partition,
     state,
     verify_partition,
 )
-from ltlsplit.brute import bounded_sat, set_join, set_project
-from helpers import FIXTURES, fixture_spec, small_formula, spec_corpus
+from brute import bounded_sat, set_join, set_project
+from helpers import FIXTURES, fixture_spec, lasso, small_formula, spec_corpus
 from test_brute import random_trace_set, ts
 
 RESULTS: list[tuple[str, bool, str]] = []

@@ -8,11 +8,10 @@ from ltlsplit import (
     UNSAT,
     dependence_query,
     eval_formula,
-    lasso,
     parse_formula,
     state,
 )
-from ltlsplit.brute import (
+from brute import (
     EnumerationBudgetError,
     TraceSet,
     align,
@@ -21,6 +20,7 @@ from ltlsplit.brute import (
     set_project,
     trace_set,
 )
+from helpers import lasso
 
 
 class TestBoundedSat:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import ltlsplit
+from ltlsplit import InternalSolver
 from ltlsplit.cli import EXIT_AUDIT, EXIT_ENGINE, EXIT_INPUT, EXIT_OK, RunConfig, main
 from helpers import spec_text
 
@@ -26,11 +27,12 @@ def write_spec(tmp_path, name, text):
     return path
 
 
-def run_cli(*args):
+def run_cli(*args, stdout=subprocess.PIPE):
     """The CLI as a separate process, so stderr is what a user of the command gets."""
     env = dict(os.environ, PYTHONPATH=str(Path(ltlsplit.__file__).parents[1]))
     return subprocess.run([sys.executable, "-m", "ltlsplit.cli", *map(str, args)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=120)
 
 
 class TestRunConfig:
@@ -38,6 +40,8 @@ class TestRunConfig:
         config = RunConfig(intro_file)
         assert config.output_format == "text"
         assert config.order == "decl"
+        assert isinstance(config.solver, InternalSolver)
+        assert config.solver.state_cap == config.state_cap
 
     def test_state_cap_validated(self, intro_file):
         with pytest.raises(ValueError):
@@ -111,6 +115,26 @@ class TestMain:
     def test_missing_file(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.spec")]) == EXIT_INPUT
         assert "cannot read" in capsys.readouterr().err
+
+    def test_non_utf8_spec_is_an_input_error(self, tmp_path):
+        path = tmp_path / "latin1.spec"
+        path.write_bytes(b"env: p\nsys: a\nformula: G(p -> \xff)\n")
+        proc = run_cli(path)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith(f"error: cannot read {path}")
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_is_an_input_error(self, intro_file, fmt):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_cli(intro_file, "--format", fmt, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.startswith("error: cannot write standard output")
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_undeclared_atom_diagnostic(self, tmp_path, capsys):
         path = write_spec(tmp_path, "bad.spec",

@@ -10,7 +10,6 @@ from ltlsplit import (
     UNSAT,
     check_independent,
     dependence_query,
-    lasso,
     lock_conjunct,
     make_spec,
     parse_formula,
@@ -23,7 +22,7 @@ from ltlsplit.decompose import (
     _Session,
     look_for_dependent_variables,
 )
-from helpers import fixture_spec
+from helpers import fixture_spec, lasso
 
 SOLVER = InternalSolver()
 

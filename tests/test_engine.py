@@ -18,7 +18,6 @@ from ltlsplit import (
     dependence_query,
     eval_formula,
     find_accepting_lasso,
-    lasso,
     ltl_sat,
     make_spec,
     parse_formula,
@@ -27,7 +26,7 @@ from ltlsplit import (
     to_nnf,
 )
 from ltlsplit.formula import Until, postorder
-from helpers import FIXTURES, fixture_spec, small_formula
+from helpers import FIXTURES, fixture_spec, lasso, small_formula
 
 INTRO_PHI = parse_formula(
     "G((p -> X(v & !t)) & (!p -> X(!v & t)) & "

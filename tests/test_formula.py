@@ -27,14 +27,13 @@ from ltlsplit import (
     eval_formula,
     find_accepting_lasso,
     formula,
-    lasso,
     lock_conjunct,
     parse_formula,
     print_formula,
     rename_projection,
     to_nnf,
-    unprime,
 )
+from helpers import lasso
 
 PHI_PROJ = parse_formula("G(p -> (a | (b & c))) & F(p -> (d | e)) & F(!p -> !e)")
 
@@ -86,7 +85,8 @@ class TestRenameProjection:
         assert f1 == f2
 
     def test_unprime_inverts(self):
-        assert unprime(rename_projection(PHI_PROJ, {"a", "d", "e"})) == PHI_PROJ
+        renamed = rename_projection(PHI_PROJ, {"a", "d", "e"})
+        assert formula.map_atoms(renamed, lambda a: Atom(a.base)) == PHI_PROJ
 
     def test_atom_set_after_renaming(self):
         w = {"a", "b"}

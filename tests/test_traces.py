@@ -1,4 +1,4 @@
-"""Lasso traces: evaluation, projection, Z extraction, serialization."""
+"""Lasso traces: evaluation, Z extraction, serialization; the oracle's projection."""
 
 import pytest
 
@@ -8,13 +8,12 @@ from ltlsplit import (
     compute_z,
     eval_formula,
     format_trace,
-    lasso,
     parse_formula,
     parse_trace,
-    project_trace,
     state,
-    strip_primes,
 )
+from brute import project_lasso, unroll_lasso
+from helpers import lasso
 
 PHI_EX1 = parse_formula("G(p -> (a | (b & c))) & F(p -> (d | e)) & F(!p -> !e)")
 
@@ -34,13 +33,13 @@ class TestLassoTrace:
 
     def test_unroll_same_word(self):
         t = lasso([state("a")], [state("b"), state("c")])
-        u = t.unroll(3, 4)
+        u = unroll_lasso(t, 3, 4)
         assert all(t.state_at(i) == u.state_at(i) for i in range(20))
 
     def test_unroll_rejects_incompatible(self):
         t = lasso([], [state("a"), state("b")])
         with pytest.raises(ValueError):
-            t.unroll(0, 3)
+            unroll_lasso(t, 0, 3)
 
 
 class TestEval:
@@ -97,43 +96,27 @@ class TestEval:
 class TestProjection:
     def test_keep_one(self):
         tau = lasso([], [state("p", "a", "d")])
-        got = project_trace(tau, {"a"}, {"a", "b", "c", "d", "e"})
+        got = project_lasso(tau, {"a"}, {"a", "b", "c", "d", "e"})
         assert got == lasso([], [state("p", "a")])
 
     def test_keep_pair(self):
         tau = lasso([], [state("p", "a", "c")])
-        got = project_trace(tau, {"b", "c"}, {"a", "b", "c"})
+        got = project_lasso(tau, {"b", "c"}, {"a", "b", "c"})
         assert got == lasso([], [state("p", "c")])
 
     def test_full_set_identity(self):
         tau = lasso([state("p", "a")], [state("b")])
-        assert project_trace(tau, {"a", "b"}, {"a", "b"}) == tau
+        assert project_lasso(tau, {"a", "b"}, {"a", "b"}) == tau
 
     def test_primes_dropped(self):
         tau = lasso([], [state("p", "a", "a'")])
-        got = project_trace(tau, {"a"}, {"a"})
+        got = project_lasso(tau, {"a"}, {"a"})
         assert got == lasso([], [state("p", "a")])
 
     def test_idempotent(self):
         tau = lasso([state("p", "a", "b")], [state("b", "c")])
-        once = project_trace(tau, {"a"}, {"a", "b", "c"})
-        assert project_trace(once, {"a"}, {"a", "b", "c"}) == once
-
-
-class TestStripPrimes:
-    def test_reference_trace(self):
-        tau = lasso([state("p", "a", "c'"), state("p", "a'", "c")],
-                    [state("p", "c")])
-        assert strip_primes(tau) == lasso(
-            [state("p", "a"), state("p", "c")], [state("p", "c")])
-
-    def test_no_primes_unchanged(self):
-        tau = lasso([], [state("a", "b")])
-        assert strip_primes(tau) == tau
-
-    def test_mixed_single_state(self):
-        tau = lasso([], [state("t", "t'", "z", "z'")])
-        assert strip_primes(tau) == lasso([], [state("t", "z")])
+        once = project_lasso(tau, {"a"}, {"a", "b", "c"})
+        assert project_lasso(once, {"a"}, {"a", "b", "c"}) == once
 
 
 class TestComputeZ:
@@ -169,10 +152,6 @@ class TestSerialization:
     def test_format_empty_prefix(self):
         tau = lasso([], [state(), state("a")])
         assert format_trace(tau) == "| {} ; {a}"
-
-    def test_var_order(self):
-        tau = lasso([], [state("p", "t", "v'")])
-        assert format_trace(tau, ["v", "t", "p"]) == "| {v', t, p}"
 
     def test_round_trip(self):
         tau = lasso([state("p"), state("a", "a'")], [state(), state("b'")])
