@@ -6,7 +6,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .decompose import InvariantViolation, partition, verify_partition
@@ -28,34 +27,7 @@ EXIT_ENGINE = 2
 EXIT_AUDIT = 3
 
 
-@dataclass
-class RunConfig:
-    input_path: Path
-    output_format: str = "text"          # "text" | "json"
-    order: str = "decl"                  # "decl" | "lex"
-    engine: str = "internal"             # "internal" | "external:<command>"
-    state_cap: int = DEFAULT_STATE_CAP
-    verify: bool = False
-    audit_minimality: bool = False
-    log_queries: bool = False
-    quiet: bool = False
-    solver: InternalSolver | ExternalSolver = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.state_cap < 1:
-            raise ValueError("state cap must be >= 1")
-        try:
-            if self.engine == "internal":
-                self.solver = InternalSolver(self.state_cap)
-            elif self.engine.startswith("external:"):
-                self.solver = ExternalSolver(self.engine[len("external:"):])
-            else:
-                raise ValueError("expected 'internal' or 'external:<command>'")
-        except ValueError as exc:
-            raise ValueError(f"bad engine {self.engine!r}: {exc}") from None
-
-
-def _build_config(argv) -> RunConfig:
+def _parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="ltlsplit",
         description="Decompose an LTL reactive-synthesis spec into "
@@ -74,10 +46,16 @@ def _build_config(argv) -> RunConfig:
     parser.add_argument("--log-queries", action="store_true",
                         help="write <input>.evidence.jsonl with every solver query")
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
-    return RunConfig(args.input, args.format, args.order, args.engine,
-                     args.state_cap, args.verify, args.audit_minimality,
-                     args.log_queries, args.quiet)
+    return parser.parse_args(argv)
+
+
+def _solver(engine: str, state_cap: int) -> InternalSolver | ExternalSolver:
+    """The solver an ``--engine`` value names; ``ValueError`` on a bad one."""
+    if engine == "internal":
+        return InternalSolver(state_cap)
+    if engine.startswith("external:"):
+        return ExternalSolver(engine[len("external:"):])
+    raise ValueError("expected 'internal' or 'external:<command>'")
 
 
 def _sorted_blocks(blocks, sys_vars):
@@ -99,26 +77,39 @@ def _write_evidence(path: Path, result) -> None:
 
 def main(argv=None) -> int:
     try:
-        config = _build_config(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:   # argparse exits 2 on a usage error; here 2 means an engine failure
         return EXIT_INPUT if exc.code == 2 else exc.code
+    if args.state_cap < 1:
+        print("error: state cap must be >= 1", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        solver = _solver(args.engine, args.state_cap)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: bad engine {args.engine!r}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
     try:
-        text = config.input_path.read_text(encoding="utf-8")
+        text = args.input.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"error: cannot read {config.input_path}: {exc}", file=sys.stderr)
+        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
         spec = parse_spec(text)
     except SpecError as exc:
-        print(f"error: {config.input_path}:{exc}", file=sys.stderr)
+        print(f"error: {args.input}:{exc}", file=sys.stderr)
         return EXIT_INPUT
 
+    audits: dict = {}
     try:
-        result = partition(spec, config.solver, config.order)
+        result = partition(spec, solver, args.order)
+        if args.verify or args.audit_minimality:
+            report = verify_partition(spec, result, solver,
+                                      minimality=args.audit_minimality)
+            audits["soundness"] = all(a.sound for a in report.block_audits)
+            if args.audit_minimality:
+                audits["minimality"] = all(
+                    sub.dependent for a in report.block_audits for sub in a.minimality)
     except EngineLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
@@ -129,25 +120,9 @@ def main(argv=None) -> int:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_AUDIT
 
-    audits: dict = {}
-    audit_failed = False
-    if config.verify or config.audit_minimality:
-        try:
-            report = verify_partition(spec, result, config.solver,
-                                      minimality=config.audit_minimality)
-        except (EngineLimitError, ExternalSolverError) as exc:
-            print(f"error: audit: {exc}", file=sys.stderr)
-            return EXIT_ENGINE
-        audits["soundness"] = all(a.sound is True for a in report.block_audits)
-        if config.audit_minimality:
-            audits["minimality"] = all(
-                sub.dependent and not sub.error
-                for a in report.block_audits for sub in a.minimality)
-        audit_failed = not report.ok
-
     evidence_path = None
-    if config.log_queries:
-        evidence_path = config.input_path.with_name(config.input_path.name + ".evidence.jsonl")
+    if args.log_queries:
+        evidence_path = args.input.with_name(args.input.name + ".evidence.jsonl")
         try:
             _write_evidence(evidence_path, result)
         except OSError as exc:
@@ -166,9 +141,9 @@ def main(argv=None) -> int:
         payload["evidence_path"] = str(evidence_path)
 
     try:
-        if config.output_format == "json":
+        if args.format == "json":
             print(json.dumps(payload, indent=2))
-        elif not config.quiet:
+        elif not args.quiet:
             print(f"env: {' '.join(spec.env)}")
             print(f"sys: {' '.join(spec.sys)}")
             for i, members in enumerate(blocks, 1):
@@ -186,7 +161,7 @@ def main(argv=None) -> int:
         print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 
-    return EXIT_AUDIT if audit_failed else EXIT_OK
+    return EXIT_OK if all(audits.values()) else EXIT_AUDIT
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 
-from .engine import EngineLimitError, InternalSolver, SatResult
+from .engine import InternalSolver, SatResult
 from .formula import Formula, dependence_query, lock_conjunct
 from .parser import Spec
 from .traces import LassoTrace, compute_z
@@ -160,15 +160,13 @@ class SubsetAudit:
     subset: tuple[str, ...]
     dependent: bool
     witness: LassoTrace | None
-    error: str | None = None
 
 
 @dataclass
 class BlockAudit:
     vars: tuple[str, ...]
-    sound: bool | None
+    sound: bool
     witness: LassoTrace | None = None
-    error: str | None = None
     minimality: list[SubsetAudit] = field(default_factory=list)
     minimality_skipped: bool = False
 
@@ -179,13 +177,8 @@ class VerificationReport:
 
     @property
     def ok(self) -> bool:
-        for audit in self.block_audits:
-            if audit.sound is not True or audit.error:
-                return False
-            for sub in audit.minimality:
-                if not sub.dependent or sub.error:
-                    return False
-        return True
+        return all(audit.sound and all(sub.dependent for sub in audit.minimality)
+                   for audit in self.block_audits)
 
 
 def verify_partition(spec: Spec, result: PartitionResult, solver=None,
@@ -195,34 +188,24 @@ def verify_partition(spec: Spec, result: PartitionResult, solver=None,
 
     The minimality audit solves one dependence query per nonempty proper
     subset, so it is exponential in block size and is skipped for blocks
-    larger than ``max_minimality_block``.  Engine-limit failures are
-    recorded per check and do not abort the remaining checks.
+    larger than ``max_minimality_block``.  A solver that runs out of budget
+    raises ``EngineLimitError`` out of the audit, as in ``partition``; no
+    partial report is returned.
     """
     solver = solver or InternalSolver()
     phi = spec.formula
     audits = []
     for block in result.blocks:
-        audit = BlockAudit(block.vars, None)
-        try:
-            independent, witness = check_independent(phi, block.vars, spec.sys, solver)
-            audit.sound = independent
-            audit.witness = witness
-        except EngineLimitError as exc:
-            audit.error = str(exc)
+        audit = BlockAudit(block.vars, *check_independent(phi, block.vars, spec.sys, solver))
         if minimality:
             if len(block.vars) > max_minimality_block:
                 audit.minimality_skipped = True
             else:
                 for size in range(1, len(block.vars)):
                     for subset in combinations(block.vars, size):
-                        sub = SubsetAudit(subset, False, None)
-                        try:
-                            independent, witness = check_independent(
-                                phi, subset, spec.sys, solver)
-                            sub.dependent = not independent
-                            sub.witness = witness
-                        except EngineLimitError as exc:
-                            sub.error = str(exc)
-                        audit.minimality.append(sub)
+                        independent, witness = check_independent(
+                            phi, subset, spec.sys, solver)
+                        audit.minimality.append(
+                            SubsetAudit(subset, not independent, witness))
         audits.append(audit)
     return VerificationReport(audits)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import shlex
 import subprocess
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -293,13 +294,12 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     return Gba(states, initial, acceptance)
 
 
-def _sccs(gba: Gba) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, over all states."""
+def _sccs(gba: Gba) -> Iterator[list[int]]:
+    """Tarjan's algorithm, iterative, over all states; each SCC, sorted, as it closes."""
     n = len(gba.states)
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []
-    sccs: list[list[int]] = []
     counter = 0
 
     for root in range(n):
@@ -330,12 +330,11 @@ def _sccs(gba: Gba) -> list[list[int]]:
                         comp.append(w)
                         if w == v:
                             break
-                    sccs.append(sorted(comp))
+                    yield sorted(comp)
                 if work:
                     u, _ = work[-1]
                     if low[v] < low[u]:
                         low[u] = low[v]
-    return sccs
 
 
 def _bfs_path(gba: Gba, sources, targets: set[int], restrict: set[int] | None,
@@ -433,8 +432,10 @@ class ExternalSolver:
     """Subprocess adapter speaking the one-line query protocol.
 
     Request: the formula in surface grammar plus a newline on stdin.
-    Response: ``UNSAT`` or ``SAT`` followed by one serialized trace line.
-    External witnesses must pass the eval self-check before acceptance.
+    Response: ``UNSAT``, ``SAT`` followed by one serialized trace line, or
+    ``LIMIT`` followed by one message line when the child's budget ran out,
+    which raises ``EngineLimitError``.  External witnesses must pass the
+    eval self-check before acceptance.
     """
 
     def __init__(self, command: str | list[str]):
@@ -459,6 +460,9 @@ class ExternalSolver:
         verdict = lines[0].strip()
         if verdict == "UNSAT":
             return UNSAT
+        if verdict == "LIMIT":
+            detail = lines[1].strip() if len(lines) > 1 else "budget exhausted"
+            raise EngineLimitError(f"external solver: {detail}")
         if verdict != "SAT":
             raise ExternalSolverError(f"malformed verdict line {verdict!r}")
         if len(lines) < 2:
@@ -474,16 +478,22 @@ class ExternalSolver:
 
 
 def serve_stdin_queries(stdin, stdout, state_cap: int = DEFAULT_STATE_CAP) -> None:
-    """Answer one protocol query per input line; used to self-host the adapter."""
+    """Answer one protocol query per input line; used to self-host the adapter.
+
+    A query that exhausts ``state_cap`` is answered ``LIMIT`` plus the
+    message, and serving goes on with the next line.
+    """
     from .parser import parse_formula
 
     for line in stdin:
         line = line.strip()
         if not line:
             continue
-        result = ltl_sat(parse_formula(line), state_cap)
-        if result.is_sat:
-            stdout.write("SAT\n" + format_trace(result.witness) + "\n")
+        try:
+            result = ltl_sat(parse_formula(line), state_cap)
+        except EngineLimitError as exc:
+            stdout.write(f"LIMIT\n{exc}\n")
         else:
-            stdout.write("UNSAT\n")
+            stdout.write(f"SAT\n{format_trace(result.witness)}\n" if result.is_sat
+                         else "UNSAT\n")
         stdout.flush()

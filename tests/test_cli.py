@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import ltlsplit
-from ltlsplit import InternalSolver
-from ltlsplit.cli import EXIT_AUDIT, EXIT_ENGINE, EXIT_INPUT, EXIT_OK, RunConfig, main
+from ltlsplit import InternalSolver, cli
+from ltlsplit.cli import EXIT_AUDIT, EXIT_ENGINE, EXIT_INPUT, EXIT_OK, main
+from ltlsplit.engine import DEFAULT_STATE_CAP
 from helpers import spec_text
 
 
@@ -35,21 +36,37 @@ def run_cli(*args, stdout=subprocess.PIPE):
                           timeout=120)
 
 
-class TestRunConfig:
-    def test_defaults(self, intro_file):
-        config = RunConfig(intro_file)
-        assert config.output_format == "text"
-        assert config.order == "decl"
-        assert isinstance(config.solver, InternalSolver)
-        assert config.solver.state_cap == config.state_cap
+SERVE = ("import sys; from ltlsplit.engine import serve_stdin_queries; "
+         "serve_stdin_queries(sys.stdin, sys.stdout{})")
 
-    def test_state_cap_validated(self, intro_file):
-        with pytest.raises(ValueError):
-            RunConfig(intro_file, state_cap=0)
 
-    def test_external_command_validated(self, intro_file):
-        with pytest.raises(ValueError):
-            RunConfig(intro_file, engine="external: ")
+class TestSettings:
+    @pytest.mark.parametrize("argv, cap", [((), DEFAULT_STATE_CAP),
+                                           (("--state-cap", "123456"), 123456)],
+                             ids=["default", "given"])
+    def test_default_engine_is_internal_with_the_cap(self, intro_file, monkeypatch,
+                                                     argv, cap):
+        seen = []
+        real = cli.partition
+
+        def spy(spec, solver, order):
+            seen.append((solver, order))
+            return real(spec, solver, order)
+
+        monkeypatch.setattr(cli, "partition", spy)
+        assert main([str(intro_file), *argv]) == EXIT_OK
+        [(solver, order)] = seen
+        assert isinstance(solver, InternalSolver)
+        assert solver.state_cap == cap
+        assert order == "decl"
+
+    def test_state_cap_validated(self, intro_file, capsys):
+        assert main([str(intro_file), "--state-cap", "0"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: state cap must be >= 1\n"
+
+    def test_external_command_validated(self, intro_file, capsys):
+        assert main([str(intro_file), "--engine", "external: "]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: bad engine")
 
 
 class TestMain:
@@ -152,12 +169,30 @@ class TestMain:
         assert "state cap" in capsys.readouterr().err
 
     def test_external_engine(self, intro_file, capsys):
-        command = (f"{sys.executable} -c \"import sys; "
-                   "from ltlsplit.engine import serve_stdin_queries; "
-                   "serve_stdin_queries(sys.stdin, sys.stdout)\"")
+        command = f"{sys.executable} -c \"{SERVE.format('')}\""
         assert main([str(intro_file), "--engine", f"external:{command}"]) == EXIT_OK
         out = capsys.readouterr().out
         assert "block 2: {v, w, z}" in out
+
+    def test_external_budget_exhaustion(self, intro_file):
+        command = f"{sys.executable} -c \"{SERVE.format(', state_cap=2')}\""
+        proc = run_cli(intro_file, "--engine", f"external:{command}")
+        assert proc.returncode == EXIT_ENGINE
+        assert proc.stderr == ("error: external solver: "
+                               "tableau exceeded the state cap of 2\n")
+
+    def test_audit_budget_exhaustion(self, tmp_path):
+        # Draw 95 of the seeded corpus (seed 20240817).  Its partition fits
+        # in a cap of 741 states but its audits need 797, so at 770 the cap
+        # runs out inside the minimality audit: an engine limit, not a
+        # failed audit.
+        path = write_spec(tmp_path, "d95.spec",
+                          "env: p0\nsys: a0 a1 a2\nformula: (((a1 & ((a0 & p0) R a0))"
+                          " -> (p0 U (a1 U X a2))) -> (a2 -> p0))\n")
+        proc = run_cli(path, "--state-cap", "770", "--verify", "--audit-minimality")
+        assert proc.returncode == EXIT_ENGINE
+        assert proc.stderr == "error: tableau exceeded the state cap of 770\n"
+        assert "FAIL" not in proc.stdout
 
     def test_external_engine_failure(self, intro_file, capsys):
         command = f"{sys.executable} -c \"import sys; sys.exit(1)\""

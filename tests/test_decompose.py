@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from ltlsplit import (
+    EngineLimitError,
     InternalSolver,
     SatResult,
     UNSAT,
@@ -254,10 +255,9 @@ class TestVerifyPartition:
         assert big.minimality_skipped
         assert big.minimality == []
 
-    def test_engine_limit_recorded_not_raised(self):
+    def test_engine_limit_raised(self):
         spec = fixture_spec("intro")
         result = partition(spec, SOLVER)
         tiny = InternalSolver(state_cap=2)
-        report = verify_partition(spec, result, tiny)
-        assert not report.ok
-        assert all(a.error for a in report.block_audits)
+        with pytest.raises(EngineLimitError):
+            verify_partition(spec, result, tiny)

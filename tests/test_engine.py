@@ -1,6 +1,7 @@
 """Satisfiability engine: NNF, automaton construction, emptiness, oracles."""
 
 import hashlib
+import io
 import random
 import sys
 import time
@@ -25,6 +26,7 @@ from ltlsplit import (
     state,
     to_nnf,
 )
+from ltlsplit.engine import serve_stdin_queries
 from ltlsplit.formula import Until, postorder
 from helpers import FIXTURES, fixture_spec, lasso, small_formula
 
@@ -289,6 +291,16 @@ class TestExternalSolver:
     def test_no_output(self):
         with pytest.raises(ExternalSolverError, match="no output"):
             fake_solver("pass").solve(parse_formula("a"))
+
+    def test_limit_reply_raises_engine_limit(self):
+        with pytest.raises(EngineLimitError, match="external solver: out of states"):
+            fake_solver("print('LIMIT'); print('out of states')").solve(parse_formula("a"))
+
+    def test_serve_answers_limit_and_goes_on(self):
+        out = io.StringIO()
+        serve_stdin_queries(io.StringIO("a | b\n\na\n"), out, state_cap=2)
+        assert out.getvalue().splitlines() == [
+            "LIMIT", "tableau exceeded the state cap of 2", "SAT", "{a} | {}"]
 
     def test_malformed_verdict(self):
         with pytest.raises(ExternalSolverError, match="verdict"):
