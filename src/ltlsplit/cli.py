@@ -110,11 +110,8 @@ def main(argv=None) -> int:
             if args.audit_minimality:
                 audits["minimality"] = all(
                     sub.dependent for a in report.block_audits for sub in a.minimality)
-    except EngineLimitError as exc:
+    except (EngineLimitError, ExternalSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ENGINE
-    except ExternalSolverError as exc:
-        print(f"error: external solver: {exc}", file=sys.stderr)
         return EXIT_ENGINE
     except (InvariantViolation, WitnessSoundnessError) as exc:
         print(f"fault: {exc}", file=sys.stderr)

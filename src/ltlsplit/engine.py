@@ -5,11 +5,12 @@ over closure subsets as rank bitmasks) -> SCC-based emptiness check ->
 accepting lasso read back as a trace.  The tableau registers only the
 initial states and successors of registered states, so every automaton
 state is reachable and emptiness needs no separate reachability pass.
-It never builds a branch that can only die, and expands each distinct
-next-obligation set once: states that share the set share one successor
-list.  Every Sat answer is self-checked against the queried formula
-before it is returned; a failure here is an engine bug, never a caller
-error.
+It never builds a side of a split whose must-hold literals clash
+(``FALSE``, or an atom and its negation), as no leaf of it lives, and
+expands each distinct next-obligation set once: states that share the set
+share one successor list.  Every Sat answer is self-checked against the
+queried formula before it is returned; a failure here is an engine bug,
+never a caller error.
 """
 
 from __future__ import annotations
@@ -157,37 +158,50 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     """Tableau construction; ``f`` must be in negation normal form.
 
     Subformulas are numbered by their rank in ``postorder(f)`` (the atom
-    under a negative literal just before it), and the tableau's obligation
-    sets are int bitmasks over ranks.  ``cover`` never builds a side of a
-    split that can only die, and each distinct next-obligation set is
-    expanded once into one ``succ`` list shared by every state with that
-    set; neither changes the automaton.  Raises ``EngineLimitError`` once
-    more than ``state_cap`` states would be registered, already while one
-    expansion alone yields more, and ``ValueError`` on a formula outside
-    NNF.
+    under a negative literal just before it), and obligation sets are int
+    bitmasks over ranks.  The numbering loop also gives each node ``must``,
+    the literal bits that every expansion of it puts into ``old``, and
+    ``bad``, the atoms negated in ``must``.  A literal's ``must`` is its own
+    bit, as is ``FALSE``'s, which is also its ``bad``; ``&`` takes the union,
+    ``R`` its right side's, ``|`` and ``U`` the intersection, or the other
+    side's when one side is dead (``must & bad`` nonzero).  ``cover`` never
+    builds a dead side, and each distinct next-obligation set is expanded
+    once into one ``succ`` list shared by every state with that set; neither
+    changes the automaton.  Raises ``EngineLimitError`` once more than
+    ``state_cap`` states would be registered, already while one expansion
+    alone yields more, and ``ValueError`` on a formula outside NNF.
     """
     nodes = postorder(f)
     rank = {g: i for i, g in enumerate(nodes)}
     kind = [g.__class__ for g in nodes]
     left = [-1] * len(nodes)        # first child id, or -1
     right = [-1] * len(nodes)       # second child id, or -1
-    comp = [0] * len(nodes)         # bit of the complementary literal, or 0
+    must = [0] * len(nodes)         # literal bits every expansion puts into old
+    bad = [0] * len(nodes)          # atom bits whose negation is in must
     literals = 0                    # bits of the Atom and Not nodes
     for i, g in enumerate(nodes):
         k = kind[i]
-        if k is Atom:
+        if k is Not and g.arg.__class__ is not Atom:
+            raise ValueError("negation on a non-atom: formula not in NNF")
+        if k is Atom or k is Not:
             literals |= 1 << i
-        elif k is Not:
-            if g.arg.__class__ is not Atom:
-                raise ValueError("negation on a non-atom: formula not in NNF")
-            a = rank[g.arg]
-            comp[i], comp[a] = 1 << a, 1 << i
-            literals |= 1 << i
+            must[i], bad[i] = 1 << i, (1 << rank[g.arg] if k is Not else 0)
         elif k is And or k is Or or k is Until or k is Release:
-            left[i], right[i] = rank[g.left], rank[g.right]
+            a = left[i] = rank[g.left]
+            b = right[i] = rank[g.right]
+            if k is And:
+                must[i], bad[i] = must[a] | must[b], bad[a] | bad[b]
+            elif k is Release or must[a] & bad[a]:     # b holds now, or a is dead
+                must[i], bad[i] = must[b], bad[b]
+            elif must[b] & bad[b]:
+                must[i], bad[i] = must[a], bad[a]
+            else:   # an atom has one Not node, so bad[a] & bad[b] matches must[a] & must[b]
+                must[i], bad[i] = must[a] & must[b], bad[a] & bad[b]
         elif k is Next:
             left[i] = rank[g.arg]
-        elif k is not TrueF and k is not FalseF:
+        elif k is FalseF:
+            must[i] = bad[i] = 1 << i
+        elif k is not TrueF:
             raise ValueError(f"unexpected node in NNF formula: {g!r}")
 
     too_many = f"tableau exceeded the state cap of {state_cap}"
@@ -195,53 +209,49 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     def cover(obligations: int) -> dict[tuple[int, int], None]:
         """All distinct (old, next) expansions of the obligation set, in order.
 
-        A pending side is (new, old, next): an id stack and two bitmasks.
-        A side of a split whose pushed obligations hold ``FALSE``, or a
-        literal whose complement is in ``old``, can only die (``FALSE``
-        never enters ``old``, and ``old`` only grows), so it is not built.
-        When the side that continues is the dead one, the node ends and the
-        side pushed just before it is popped next, as it would have been
-        after the dead branch had died; the results keep their order.
+        A pending side is (new, old, next, need, forbid): an id stack, and
+        bitmasks where ``need`` ORs the ``must`` and ``forbid`` the ``bad`` of
+        every obligation pushed.  Every leaf of the side holds ``need``, so a
+        side whose ``need`` meets ``forbid`` has no leaf that lives and is not
+        built.  The live sides keep their depth-first order, so results do too.
         """
         results: dict[tuple[int, int], None] = {}
-        pending = [(_ids(obligations), 0, 0)]
+        new = _ids(obligations)
+        need = forbid = 0
+        for g in new:
+            need, forbid = need | must[g], forbid | bad[g]
+        pending = [] if need & forbid else [(new, 0, 0, need, forbid)]
         while pending:
-            new, old, nxt = pending.pop()
+            new, old, nxt, need, forbid = pending.pop()
             while new:
                 g = new.pop()
                 bit = 1 << g
                 k = kind[g]
                 if old & bit or k is TrueF:
                     continue
-                if k is FalseF:
-                    break
-                if k is Atom or k is Not:
-                    if comp[g] & old:
-                        break
-                    old |= bit
-                elif k is And:
-                    old |= bit
+                old |= bit
+                if k is And:
                     new.append(left[g])
                     new.append(right[g])
                 elif k is Next:
-                    old |= bit
                     nxt |= 1 << left[g]
-                else:  # Or, Until, Release split into two sides
-                    old |= bit
+                elif k is Release:  # a R b == b & (a | X(a R b)); b is in need
                     a, b = left[g], right[g]
-                    if k is Release:  # a R b == b & (a | X(a R b))
-                        stay = b
-                        if not (kind[a] is FalseF or comp[a] & old
-                                or kind[b] is FalseF or comp[b] & old):
-                            pending.append((new + [a, b], old, nxt))
-                    else:  # a | b, and a U b == b | (a & X(a U b))
-                        stay = a
-                        if not (kind[b] is FalseF or comp[b] & old):
-                            pending.append((new + [b], old, nxt))
-                    if kind[stay] is FalseF or comp[stay] & old:
+                    side_need, side_forbid = need | must[a], forbid | bad[a]
+                    if not side_need & side_forbid:
+                        pending.append((new + [a, b], old, nxt, side_need, side_forbid))
+                    new.append(b)
+                    nxt |= bit
+                elif k is Or or k is Until:  # a | b, and a U b == b | (a & X(a U b))
+                    a, b = left[g], right[g]
+                    side_need, side_forbid = need | must[b], forbid | bad[b]
+                    if not side_need & side_forbid:
+                        pending.append((new + [b], old, nxt, side_need, side_forbid))
+                    need, forbid = need | must[a], forbid | bad[a]
+                    if need & forbid:
                         break
-                    new.append(stay)
-                    if k is not Or:
+                    new.append(a)
+                    if k is Until:
                         nxt |= bit
             else:
                 key = (old, nxt)
@@ -433,9 +443,10 @@ class ExternalSolver:
 
     Request: the formula in surface grammar plus a newline on stdin.
     Response: ``UNSAT``, ``SAT`` followed by one serialized trace line, or
-    ``LIMIT`` followed by one message line when the child's budget ran out,
-    which raises ``EngineLimitError``.  External witnesses must pass the
-    eval self-check before acceptance.
+    ``LIMIT`` (budget ran out: ``EngineLimitError``) or ``ERROR`` (no answer:
+    ``ExternalSolverError``) followed by one message line.  A child that
+    exits nonzero is reported by its last stderr line.  External witnesses
+    must pass the eval self-check before acceptance.
     """
 
     def __init__(self, command: str | list[str]):
@@ -448,42 +459,45 @@ class ExternalSolver:
             proc = subprocess.run(self.command, input=print_formula(f) + "\n",
                                   capture_output=True, encoding="utf-8", timeout=300)
         except (OSError, subprocess.TimeoutExpired) as exc:
-            raise ExternalSolverError(f"external solver failed to run: {exc}") from exc
+            raise ExternalSolverError(f"external solver: failed to run: {exc}") from exc
         except UnicodeDecodeError as exc:
-            raise ExternalSolverError(f"external solver output is not UTF-8: {exc}") from exc
+            raise ExternalSolverError(f"external solver: output is not UTF-8: {exc}") from exc
         if proc.returncode != 0:
+            last = [ln.strip() for ln in proc.stderr.splitlines() if ln.strip()][-1:]
             raise ExternalSolverError(
-                f"external solver exited with {proc.returncode}: {proc.stderr.strip()}")
+                ": ".join([f"external solver: exited with {proc.returncode}", *last]))
         lines = [ln for ln in proc.stdout.splitlines() if ln.strip()]
         if not lines:
-            raise ExternalSolverError("external solver produced no output")
+            raise ExternalSolverError("external solver: no output")
         verdict = lines[0].strip()
         if verdict == "UNSAT":
             return UNSAT
-        if verdict == "LIMIT":
-            detail = lines[1].strip() if len(lines) > 1 else "budget exhausted"
-            raise EngineLimitError(f"external solver: {detail}")
+        if verdict == "LIMIT" or verdict == "ERROR":
+            detail = lines[1].strip() if len(lines) > 1 else f"{verdict} without a message"
+            error = EngineLimitError if verdict == "LIMIT" else ExternalSolverError
+            raise error(f"external solver: {detail}")
         if verdict != "SAT":
-            raise ExternalSolverError(f"malformed verdict line {verdict!r}")
+            raise ExternalSolverError(f"external solver: malformed verdict line {verdict!r}")
         if len(lines) < 2:
-            raise ExternalSolverError("SAT answer missing its witness line")
+            raise ExternalSolverError("external solver: SAT answer missing its witness line")
         try:
             witness = parse_trace(lines[1])
         except ValueError as exc:
-            raise ExternalSolverError(f"malformed witness: {exc}") from exc
+            raise ExternalSolverError(f"external solver: malformed witness: {exc}") from exc
         if not eval_formula(witness, f, 0):
             raise ExternalSolverError(
-                f"external witness {format_trace(witness)} does not satisfy the query")
+                f"external solver: witness {format_trace(witness)} does not satisfy the query")
         return SatResult(witness)
 
 
 def serve_stdin_queries(stdin, stdout, state_cap: int = DEFAULT_STATE_CAP) -> None:
     """Answer one protocol query per input line; used to self-host the adapter.
 
-    A query that exhausts ``state_cap`` is answered ``LIMIT`` plus the
-    message, and serving goes on with the next line.
+    A query that exhausts ``state_cap`` is answered ``LIMIT``, and a line
+    that does not parse or a witness that fails its self-check ``ERROR``,
+    each plus one message line; serving goes on with the next line.
     """
-    from .parser import parse_formula
+    from .parser import SpecError, parse_formula
 
     for line in stdin:
         line = line.strip()
@@ -493,6 +507,8 @@ def serve_stdin_queries(stdin, stdout, state_cap: int = DEFAULT_STATE_CAP) -> No
             result = ltl_sat(parse_formula(line), state_cap)
         except EngineLimitError as exc:
             stdout.write(f"LIMIT\n{exc}\n")
+        except (SpecError, WitnessSoundnessError) as exc:
+            stdout.write(f"ERROR\n{exc}\n")
         else:
             stdout.write(f"SAT\n{format_trace(result.witness)}\n" if result.is_sat
                          else "UNSAT\n")

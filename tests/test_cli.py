@@ -198,6 +198,12 @@ class TestMain:
         command = f"{sys.executable} -c \"import sys; sys.exit(1)\""
         assert main([str(intro_file), "--engine", f"external:{command}"]) == EXIT_ENGINE
 
+    def test_crashing_external_child(self, intro_file):
+        command = f"{sys.executable} -c \"raise RuntimeError('boom')\""
+        proc = run_cli(intro_file, "--engine", f"external:{command}")
+        assert proc.returncode == EXIT_ENGINE
+        assert proc.stderr == "error: external solver: exited with 1: RuntimeError: boom\n"
+
     def test_lex_order(self, intro_file, capsys):
         assert main([str(intro_file), "--order", "lex"]) == EXIT_OK
         assert "block 2: {v, w, z}" in capsys.readouterr().out

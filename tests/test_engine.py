@@ -3,16 +3,21 @@
 import hashlib
 import io
 import random
+import subprocess
 import sys
 import time
 
 import pytest
 
 from ltlsplit import (
+    FALSE,
+    And,
+    Atom,
     EngineLimitError,
     ExternalSolver,
     ExternalSolverError,
     InternalSolver,
+    Next,
     Not,
     UNSAT,
     build_gba,
@@ -26,9 +31,10 @@ from ltlsplit import (
     state,
     to_nnf,
 )
+from ltlsplit import engine
 from ltlsplit.engine import serve_stdin_queries
 from ltlsplit.formula import Until, postorder
-from helpers import FIXTURES, fixture_spec, lasso, small_formula
+from helpers import FIXTURES, fixture_spec, lasso, small_formula, spec_corpus
 
 INTRO_PHI = parse_formula(
     "G((p -> X(v & !t)) & (!p -> X(!v & t)) & "
@@ -142,6 +148,26 @@ class TestBuildGba:
                         frontier.append(w)
             assert seen == set(range(len(gba.states)))
 
+    def test_no_state_guard_holds_an_atom_and_its_negation(self):
+        rng = random.Random(13)
+        for _ in range(200):
+            for st in build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 8))).states:
+                assert not set(st.pos) & set(st.neg)
+
+    def test_inconsistent_obligations_yield_no_state(self):
+        """FALSE, or x with !x (also nested under &), kills the whole obligation set."""
+        rng = random.Random(14)
+        names = ["p", "q", "r"]
+        for _ in range(200):
+            g = small_formula(rng, names, 6)
+            h = small_formula(rng, names, 4)
+            x = Atom(rng.choice(names))
+            for dead in (FALSE, And(x, Not(x)), And(Not(x), And(h, x))):
+                assert build_gba(to_nnf(And(g, dead))).states == []
+                gba = build_gba(to_nnf(And(g, Next(dead))))
+                assert len(gba.states) == len(gba.initial)
+                assert all(st.succ == [] for st in gba.states)
+
     def test_deterministic_construction(self):
         f = to_nnf(dependence_query(INTRO_PHI, ["w"], ["t", "v", "z"]))
         g1, g2 = build_gba(f), build_gba(f)
@@ -152,9 +178,10 @@ class TestBuildGba:
 
 
 # SHA-256, per spec, of every automaton ``partition`` builds for it, as
-# recorded at commit 30b4544 (resp3 at commit 843b7f3).
+# recorded at commit 30b4544 (resp3 at commit 843b7f3, corpus at 505f4e8).
 AUTOMATON_DIGESTS = {
     "chain3": "f611134a5a1510abf4f67960f9f59dea2e3c432eb9b5af7d9752605858b59445",
+    "corpus": "fcf2a6515429c6c92fe8dfff1217b6d536043cc1a78d1ee53291d1b3f571cffa",
     "intro": "d3b64719ec2afe9af42786a489f0ae9fc7cfb03ff6e3309ee0d0dcf2870cdafb",
     "not_ind": "9405dde171fa60936218bade76db3a0ea1c17aaed89dc4ff0919c120c3b574b1",
     "pair": "b11456355f69bc780dad3aabdd79496af55c312110c840e54e914c5b4822dca6",
@@ -190,7 +217,22 @@ EXTRA_SPECS = {
 }
 
 
-@pytest.mark.parametrize("name", [*sorted(FIXTURES), *EXTRA_SPECS])
+# Draws of ``spec_corpus(20240817, ...)`` (cap 30,000) whose tableaux have
+# the most sides that can only die; pinned as one digest over all five.
+CORPUS_DRAWS = (17, 51, 52, 54, 98)
+
+
+def _pinned_specs(name):
+    if name == "corpus":
+        corpus = spec_corpus(20240817, max(CORPUS_DRAWS) + 1)
+        return [corpus[i][0] for i in CORPUS_DRAWS]
+    if name in EXTRA_SPECS:
+        env, sys_, formula = EXTRA_SPECS[name]
+        return [make_spec(env, sys_, parse_formula(formula))]
+    return [fixture_spec(name)]
+
+
+@pytest.mark.parametrize("name", [*sorted(FIXTURES), *EXTRA_SPECS, "corpus"])
 def test_partition_automata_are_pinned(name):
     """The tableau of every partition query is the one it has always been.
 
@@ -200,13 +242,9 @@ def test_partition_automata_are_pinned(name):
     3-5) updates these digests and names, in CHANGES.md, the witnesses that
     changed.
     """
-    if name in EXTRA_SPECS:
-        env, sys_, formula = EXTRA_SPECS[name]
-        spec = make_spec(env, sys_, parse_formula(formula))
-    else:
-        spec = fixture_spec(name)
     solver = _DigestingSolver()
-    partition(spec, solver)
+    for spec in _pinned_specs(name):
+        partition(spec, solver)
     assert solver.digest.hexdigest() == AUTOMATON_DIGESTS[name]
 
 
@@ -288,6 +326,11 @@ class TestExternalSolver:
         with pytest.raises(ExternalSolverError, match="exited"):
             fake_solver("import sys; sys.exit(3)").solve(parse_formula("a"))
 
+    def test_child_crash_reports_last_stderr_line(self):
+        with pytest.raises(ExternalSolverError) as info:
+            fake_solver("raise RuntimeError('boom')").solve(parse_formula("a"))
+        assert str(info.value) == "external solver: exited with 1: RuntimeError: boom"
+
     def test_no_output(self):
         with pytest.raises(ExternalSolverError, match="no output"):
             fake_solver("pass").solve(parse_formula("a"))
@@ -295,6 +338,24 @@ class TestExternalSolver:
     def test_limit_reply_raises_engine_limit(self):
         with pytest.raises(EngineLimitError, match="external solver: out of states"):
             fake_solver("print('LIMIT'); print('out of states')").solve(parse_formula("a"))
+
+    def test_error_reply_raises_external_solver_error(self):
+        with pytest.raises(ExternalSolverError, match="^external solver: no parse$"):
+            fake_solver("print('ERROR'); print('no parse')").solve(parse_formula("a"))
+
+    def test_serve_answers_error_and_goes_on(self):
+        proc = subprocess.run(SERVE, input="a &\na\n", capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines() == [
+            "ERROR", "1:4: expected a formula, found 'end of input'", "SAT", "{a} | {}"]
+
+    def test_serve_answers_error_on_unsound_witness(self, monkeypatch):
+        monkeypatch.setattr(engine, "eval_formula", lambda *args: False)
+        out = io.StringIO()
+        serve_stdin_queries(io.StringIO("a\na & !a\n"), out)
+        assert out.getvalue().splitlines() == [
+            "ERROR", "internal witness fails self-check for a", "UNSAT"]
 
     def test_serve_answers_limit_and_goes_on(self):
         out = io.StringIO()
