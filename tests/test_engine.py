@@ -181,7 +181,7 @@ class TestBuildGba:
 # recorded at commit 30b4544 (resp3 at commit 843b7f3, corpus at 505f4e8).
 AUTOMATON_DIGESTS = {
     "chain3": "f611134a5a1510abf4f67960f9f59dea2e3c432eb9b5af7d9752605858b59445",
-    "corpus": "fcf2a6515429c6c92fe8dfff1217b6d536043cc1a78d1ee53291d1b3f571cffa",
+    "corpus": "1bfacb857b4d84ccab24d06fb286bd4c8e6b500e053c0b50676f736c2e870303",
     "intro": "d3b64719ec2afe9af42786a489f0ae9fc7cfb03ff6e3309ee0d0dcf2870cdafb",
     "not_ind": "9405dde171fa60936218bade76db3a0ea1c17aaed89dc4ff0919c120c3b574b1",
     "pair": "b11456355f69bc780dad3aabdd79496af55c312110c840e54e914c5b4822dca6",
@@ -217,9 +217,13 @@ EXTRA_SPECS = {
 }
 
 
-# Draws of ``spec_corpus(20240817, ...)`` (cap 30,000) whose tableaux have
-# the most sides that can only die; pinned as one digest over all five.
-CORPUS_DRAWS = (17, 51, 52, 54, 98)
+# Draws of ``spec_corpus(20240817, ...)`` (cap 30,000), pinned as one digest.
+# Draws 51, 52, 17, 54 and 97 have the most tableau sides that can only die
+# (their partitions expand 148,004 to 20,286 sides without the must/bad
+# check).  ``spec_corpus`` skips the stream's draw 93, which exceeds the
+# cap, so its draw 97 is draw 98 of ``bench/specs.py``; draw 98 here is
+# pinned as well.
+CORPUS_DRAWS = (17, 51, 52, 54, 97, 98)
 
 
 def _pinned_specs(name):
