@@ -34,13 +34,11 @@ def _parse_args(argv) -> argparse.Namespace:
                     "independent blocks of system variables.")
     parser.add_argument("input", type=Path, help="spec file to decompose")
     parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument("--order", choices=("decl", "lex"), default="decl",
-                        help="variable ordering policy")
     parser.add_argument("--engine", default="internal",
                         help="'internal' (default) or 'external:<command>'")
     parser.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
     parser.add_argument("--verify", action="store_true",
-                        help="re-derive every block's independence certificate")
+                        help="re-derive every block's independence query")
     parser.add_argument("--audit-minimality", action="store_true",
                         help="also check every proper subset of each block")
     parser.add_argument("--log-queries", action="store_true",
@@ -56,12 +54,6 @@ def _solver(engine: str, state_cap: int) -> InternalSolver | ExternalSolver:
     if engine.startswith("external:"):
         return ExternalSolver(engine[len("external:"):])
     raise ValueError("expected 'internal' or 'external:<command>'")
-
-
-def _sorted_blocks(blocks, sys_vars):
-    index = {name: i for i, name in enumerate(sys_vars)}
-    sorted_members = [sorted(b.vars, key=index.__getitem__) for b in blocks]
-    return sorted(sorted_members, key=lambda members: index[members[0]])
 
 
 def _write_evidence(path: Path, result) -> None:
@@ -102,7 +94,7 @@ def main(argv=None) -> int:
 
     audits: dict = {}
     try:
-        result = partition(spec, solver, args.order)
+        result = partition(spec, solver)
         if args.verify or args.audit_minimality:
             report = verify_partition(spec, result, solver,
                                       minimality=args.audit_minimality)
@@ -126,7 +118,9 @@ def main(argv=None) -> int:
             print(f"error: cannot write {evidence_path}: {exc}", file=sys.stderr)
             return EXIT_INPUT
 
-    blocks = _sorted_blocks(result.blocks, spec.sys)
+    # Blocks come out ordered by their first declared member; list each
+    # block's members in declaration order too.
+    blocks = [sorted(b.vars, key=spec.sys.index) for b in result.blocks]
     payload = {
         "env": list(spec.env),
         "sys": list(spec.sys),

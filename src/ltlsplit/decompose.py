@@ -9,10 +9,11 @@ confirmed one at a time by locking them and re-solving.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 
-from .engine import InternalSolver, SatResult
+from .engine import UNSAT, InternalSolver, SatResult
 from .formula import Formula, dependence_query, lock_conjunct
 from .parser import Spec
 from .traces import LassoTrace, compute_z
@@ -32,7 +33,6 @@ class QueryRecord:
 @dataclass(frozen=True)
 class Block:
     vars: tuple[str, ...]
-    certificate: Formula
 
 
 @dataclass
@@ -46,29 +46,6 @@ class PartitionResult:
 
     def block_sets(self) -> set[frozenset[str]]:
         return {frozenset(b.vars) for b in self.blocks}
-
-
-def _ordered(names, order: str) -> tuple[str, ...]:
-    names = tuple(names)
-    if order == "lex":
-        return tuple(sorted(names))
-    if order == "decl":
-        return names
-    raise ValueError(f"unknown ordering policy {order!r}")
-
-
-class _Session:
-    def __init__(self, solver):
-        self.solver = solver
-        self.log: list[QueryRecord] = []
-
-    def solve(self, f: Formula) -> SatResult:
-        start = time.perf_counter()
-        result = self.solver.solve(f)
-        millis = (time.perf_counter() - start) * 1000.0
-        self.log.append(QueryRecord(f, "SAT" if result.is_sat else "UNSAT",
-                                    result.witness, millis))
-        return result
 
 
 def check_independent(phi: Formula, w, s, solver=None) -> tuple[bool, LassoTrace | None]:
@@ -92,67 +69,62 @@ def _disagreement(witness: LassoTrace, y) -> tuple[str, ...]:
     return z_set
 
 
-def look_for_dependent_variables(phi: Formula, query: Formula,
-                                 z_set, w, y, session: _Session) -> tuple[str, ...]:
-    """Grow the dependent block ``w`` one confirmed variable at a time.
+def _check_partition(blocks, sys_vars) -> None:
+    """``ValueError`` unless every system variable lies in exactly one block."""
+    counts = Counter(v for b in blocks for v in b.vars)
+    faults = {"missing": [v for v in sys_vars if v not in counts],
+              "repeated": [v for v, n in counts.items() if n > 1],
+              "outside sys": [v for v in counts if v not in sys_vars]}
+    found = "; ".join(f"{kind} {', '.join(names)}" for kind, names in faults.items() if names)
+    if found:
+        raise ValueError(f"blocks do not partition sys: {found}")
 
-    Precondition: the last solve of ``query`` was Sat and ``z_set`` is the
-    (nonempty) disagreement set of that witness over ``y``.  Locks
-    candidates from ``z_set`` until the query goes Unsat, commits the last
-    locked variable, rebuilds the query from ``phi`` alone and repeats
-    while models remain.
+
+def partition(spec: Spec, solver=None) -> PartitionResult:
+    """Split the system variables into minimal independent blocks.
+
+    The block ``w`` starts as the first variable left and ``y`` holds the
+    rest.  While the dependence query of ``w`` against ``y`` has a model,
+    candidates from each witness's disagreement set are locked one at a
+    time until the locked query goes Unsat; the last locked variable moves
+    from ``y`` into ``w`` and the query is rebuilt from ``phi``.  A lone
+    last variable is independent and takes no solver call.
     """
-    w = tuple(w)
-    y = tuple(y)
-    z_set = tuple(z_set)
-    while True:
-        locked_query = query
-        while True:
-            z = z_set[0]
-            locked_query = lock_conjunct(locked_query, z)
-            result = session.solve(locked_query)
-            if not result.is_sat:
-                break
-            z_set = _disagreement(result.witness, y)
-        w = w + (z,)
-        y = tuple(v for v in y if v != z)
-        query = dependence_query(phi, w, y)
-        result = session.solve(query)
-        if not result.is_sat:
-            return w
-        z_set = _disagreement(result.witness, y)
-
-
-def partition(spec: Spec, solver=None, order: str = "decl") -> PartitionResult:
-    """Split the system variables into minimal independent blocks."""
-    session = _Session(solver or InternalSolver())
+    solver = solver or InternalSolver()
     phi = spec.formula
-    full_sys = _ordered(spec.sys, order)
-    sys_vars = full_sys
+    log: list[QueryRecord] = []
+
+    def solve(f: Formula) -> SatResult:
+        start = time.perf_counter()
+        result = solver.solve(f)
+        millis = (time.perf_counter() - start) * 1000.0
+        log.append(QueryRecord(f, "SAT" if result.is_sat else "UNSAT",
+                               result.witness, millis))
+        return result
+
     blocks: list[Block] = []
-    while sys_vars:
-        if len(sys_vars) == 1:
-            # A single remaining variable is independent; no solver call needed.
-            w = sys_vars
-            certificate = dependence_query(
-                phi, w, tuple(v for v in full_sys if v not in w))
+    left = tuple(spec.sys)
+    while left:
+        w, y = left[:1], left[1:]
+        if y:
+            query = dependence_query(phi, w, y)
+            result = solve(query)
         else:
-            x, others = sys_vars[0], sys_vars[1:]
-            query = dependence_query(phi, (x,), others)
-            result = session.solve(query)
-            if not result.is_sat:
-                w, certificate = (x,), query
-            else:
-                w = look_for_dependent_variables(
-                    phi, query, _disagreement(result.witness, others),
-                    (x,), others, session)
-                certificate = session.log[-1].formula
-        blocks.append(Block(w, certificate))
-        sys_vars = tuple(v for v in sys_vars if v not in w)
-    covered = list(chain.from_iterable(b.vars for b in blocks))
-    assert sorted(covered) == sorted(spec.sys), "blocks must partition sys exactly"
-    assert len(covered) == len(set(covered)), "blocks must be pairwise disjoint"
-    return PartitionResult(blocks, session.log)
+            result = UNSAT
+        while result.is_sat:
+            locked = query
+            while result.is_sat:
+                z = _disagreement(result.witness, y)[0]
+                locked = lock_conjunct(locked, z)
+                result = solve(locked)
+            w = w + (z,)
+            y = tuple(v for v in y if v != z)
+            query = dependence_query(phi, w, y)
+            result = solve(query)
+        blocks.append(Block(w))
+        left = y
+    _check_partition(blocks, spec.sys)
+    return PartitionResult(blocks, log)
 
 
 @dataclass
@@ -168,7 +140,6 @@ class BlockAudit:
     sound: bool
     witness: LassoTrace | None = None
     minimality: list[SubsetAudit] = field(default_factory=list)
-    minimality_skipped: bool = False
 
 
 @dataclass
@@ -182,30 +153,27 @@ class VerificationReport:
 
 
 def verify_partition(spec: Spec, result: PartitionResult, solver=None,
-                     minimality: bool = False,
-                     max_minimality_block: int = 6) -> VerificationReport:
+                     minimality: bool = False) -> VerificationReport:
     """Re-derive every block's independence; optionally audit minimality.
 
-    The minimality audit solves one dependence query per nonempty proper
-    subset, so it is exponential in block size and is skipped for blocks
-    larger than ``max_minimality_block``.  A solver that runs out of budget
-    raises ``EngineLimitError`` out of the audit, as in ``partition``; no
-    partial report is returned.
+    Raises ``ValueError`` if the blocks do not partition ``spec.sys``.  The
+    minimality audit solves one dependence query per nonempty proper subset
+    of each block, 2^k - 2 queries for a k-variable block, with no size cap.
+    A solver that runs out of budget raises ``EngineLimitError`` out of the
+    audit, as in ``partition``; no partial report is returned.
     """
+    _check_partition(result.blocks, spec.sys)
     solver = solver or InternalSolver()
     phi = spec.formula
     audits = []
     for block in result.blocks:
         audit = BlockAudit(block.vars, *check_independent(phi, block.vars, spec.sys, solver))
         if minimality:
-            if len(block.vars) > max_minimality_block:
-                audit.minimality_skipped = True
-            else:
-                for size in range(1, len(block.vars)):
-                    for subset in combinations(block.vars, size):
-                        independent, witness = check_independent(
-                            phi, subset, spec.sys, solver)
-                        audit.minimality.append(
-                            SubsetAudit(subset, not independent, witness))
+            for size in range(1, len(block.vars)):
+                for subset in combinations(block.vars, size):
+                    independent, witness = check_independent(
+                        phi, subset, spec.sys, solver)
+                    audit.minimality.append(
+                        SubsetAudit(subset, not independent, witness))
         audits.append(audit)
     return VerificationReport(audits)

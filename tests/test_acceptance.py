@@ -122,7 +122,7 @@ def test_criterion_1d_tail_partition(fixture_partitions):
     # The minimality audit of the published partition re-solves {a} and
     # {d}; both independent means the joint block is not minimal.
     published = PartitionResult(
-        [Block(tuple(sorted(b)), phi) for b in TAIL_PUBLISHED], [])
+        [Block(tuple(sorted(b))) for b in TAIL_PUBLISHED], [])
     rep = verify_partition(spec, published, SOLVER, minimality=True)
     subsets = rep.block_audits[0].minimality
     checks["audit rejects {a,d}"] = (
@@ -196,15 +196,13 @@ def test_criterion_5_minimality_audit(corpus, fixture_partitions):
     bad = []
     for name, result in fixture_partitions.items():
         spec = fixture_spec(name)
-        rep = verify_partition(spec, result, SOLVER, minimality=True,
-                               max_minimality_block=4)
+        rep = verify_partition(spec, result, SOLVER, minimality=True)
         for audit in rep.block_audits:
             for sub in audit.minimality:
                 if not sub.dependent:
                     bad.append((name, sub.subset))
     for spec, result, solver in corpus:
-        rep = verify_partition(spec, result, solver, minimality=True,
-                               max_minimality_block=4)
+        rep = verify_partition(spec, result, solver, minimality=True)
         for audit in rep.block_audits:
             for sub in audit.minimality:
                 if not sub.dependent:

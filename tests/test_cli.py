@@ -49,16 +49,15 @@ class TestSettings:
         seen = []
         real = cli.partition
 
-        def spy(spec, solver, order):
-            seen.append((solver, order))
-            return real(spec, solver, order)
+        def spy(spec, solver):
+            seen.append(solver)
+            return real(spec, solver)
 
         monkeypatch.setattr(cli, "partition", spy)
         assert main([str(intro_file), *argv]) == EXIT_OK
-        [(solver, order)] = seen
+        [solver] = seen
         assert isinstance(solver, InternalSolver)
         assert solver.state_cap == cap
-        assert order == "decl"
 
     def test_state_cap_validated(self, intro_file, capsys):
         assert main([str(intro_file), "--state-cap", "0"]) == EXIT_INPUT
@@ -203,10 +202,6 @@ class TestMain:
         proc = run_cli(intro_file, "--engine", f"external:{command}")
         assert proc.returncode == EXIT_ENGINE
         assert proc.stderr == "error: external solver: exited with 1: RuntimeError: boom\n"
-
-    def test_lex_order(self, intro_file, capsys):
-        assert main([str(intro_file), "--order", "lex"]) == EXIT_OK
-        assert "block 2: {v, w, z}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("formula", [
         "(" * 1000 + "a" + ")" * 1000,

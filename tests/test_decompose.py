@@ -1,4 +1,4 @@
-"""Partitioning algorithm, dependent-variable growth, and audits."""
+"""Partitioning algorithm, its block loop query by query, and audits."""
 
 import itertools
 
@@ -18,12 +18,8 @@ from ltlsplit import (
     state,
     verify_partition,
 )
-from ltlsplit.decompose import (
-    InvariantViolation,
-    _Session,
-    look_for_dependent_variables,
-)
-from helpers import fixture_spec, lasso
+from ltlsplit.decompose import Block, InvariantViolation, PartitionResult
+from helpers import FIXTURES, fixture_spec, lasso
 
 SOLVER = InternalSolver()
 
@@ -108,11 +104,6 @@ class TestPartitionFixtures:
             members = [v for b in result.blocks for v in b.vars]
             assert sorted(members) == sorted(spec.sys)
 
-    def test_certificates_resolve_unsat(self):
-        result = partition(fixture_spec("intro"), SOLVER)
-        for block in result.blocks:
-            assert SOLVER.solve(block.certificate) is UNSAT
-
     def test_query_log_records_verdicts(self):
         result = partition(fixture_spec("pair"), SOLVER)
         assert result.query_count == 1
@@ -120,14 +111,6 @@ class TestPartitionFixtures:
         assert record.verdict == "UNSAT"
         assert record.witness is None
         assert record.millis >= 0
-
-    def test_lex_order_policy(self):
-        result = partition(fixture_spec("intro"), SOLVER, order="lex")
-        assert result.block_sets() == {frozenset(["v", "w", "z"]), frozenset(["t"])}
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            partition(fixture_spec("pair"), SOLVER, order="random")
 
 
 class TestOrderInsensitivity:
@@ -139,6 +122,18 @@ class TestOrderInsensitivity:
             permuted = make_spec(spec.env, perm, spec.formula)
             assert partition(permuted, SOLVER).block_sets() == expected
 
+    @pytest.mark.parametrize("name", sorted(FIXTURES))
+    def test_blocks_ordered_by_first_declared_member(self, name):
+        # each block starts with the first variable left, so the blocks'
+        # first members appear in declaration order
+        spec = fixture_spec(name)
+        for perm in itertools.islice(itertools.permutations(spec.sys), 6):
+            blocks = partition(make_spec(spec.env, perm, spec.formula), SOLVER).blocks
+            firsts = [b.vars[0] for b in blocks]
+            assert firsts == [v for v in perm if v in firsts]
+            assert all(perm.index(b.vars[0]) == min(map(perm.index, b.vars))
+                       for b in blocks)
+
     def test_intro_sampled_permutations(self):
         spec = fixture_spec("intro")
         expected = partition(spec, SOLVER).block_sets()
@@ -149,49 +144,59 @@ class TestOrderInsensitivity:
 
 
 class TestLookForDependentVariables:
+    """The growth step of ``partition``'s block loop, query by query."""
+
     def test_minimal_control_path(self):
-        # a singleton Z whose lock is immediately Unsat, rebuilt query
-        # Unsat: exactly two solver calls and W grows by that one z
+        # {b} against {a} is Sat and the witness disagrees on a; locking a
+        # is Unsat, so a joins b, and the rebuilt query of {b,a} is Unsat
         phi = parse_formula("G(p -> (a & b))")
+        spec = make_spec(["p"], ["b", "a"], phi)
         query = dependence_query(phi, ["b"], ["a"])
-        solver = ScriptedSolver([UNSAT, UNSAT])
-        session = _Session(solver)
-        got = look_for_dependent_variables(phi, query, ["a"], ["b"], ["a"], session)
-        assert got == ("b", "a")
-        assert len(solver.calls) == 2
-        assert solver.calls[0] == lock_conjunct(query, "a")
-        assert solver.calls[1] == dependence_query(phi, ("b", "a"), ())
+        disagrees = SatResult(lasso([], [state("a")]))
+        solver = ScriptedSolver([disagrees, UNSAT, UNSAT])
+        result = partition(spec, solver)
+        assert result.blocks == [Block(("b", "a"))]
+        assert solver.calls == [query, lock_conjunct(query, "a"),
+                                dependence_query(phi, ("b", "a"), ())]
+        assert [r.verdict for r in result.query_log] == ["SAT", "UNSAT", "UNSAT"]
 
     def test_empty_z_after_lock_is_hard_fault(self):
         phi = parse_formula("G(p -> (a & b))")
+        spec = make_spec(["p"], ["b", "a"], phi)
         query = dependence_query(phi, ["b"], ["a"])
+        disagrees = SatResult(lasso([], [state("a")]))
         agreeing = SatResult(lasso([], [state("a", "a'", "b")]))
-        solver = ScriptedSolver([agreeing])
+        solver = ScriptedSolver([disagrees, agreeing])
         with pytest.raises(InvariantViolation):
-            look_for_dependent_variables(phi, query, ["a"], ["b"], ["a"],
-                                         _Session(solver))
+            partition(spec, solver)
+        assert solver.calls == [query, lock_conjunct(query, "a")]
 
     def test_empty_z_after_rebuild_is_hard_fault(self):
         phi = parse_formula("G(p -> (a & b & c))")
+        spec = make_spec(["p"], ["c", "a", "b"], phi)
         query = dependence_query(phi, ["c"], ["a", "b"])
+        disagrees = SatResult(lasso([], [state("a")]))
         agreeing = SatResult(lasso([], [state("b", "b'")]))
-        solver = ScriptedSolver([UNSAT, agreeing])
+        solver = ScriptedSolver([disagrees, UNSAT, agreeing])
         with pytest.raises(InvariantViolation):
-            look_for_dependent_variables(phi, query, ["a"], ["c"], ["a", "b"],
-                                         _Session(solver))
+            partition(spec, solver)
+        assert solver.calls == [query, lock_conjunct(query, "a"),
+                                dependence_query(phi, ("c", "a"), ("b",))]
 
     def test_intro_from_w(self):
+        # with w declared first, its block grows to {w, v, z} through the
+        # witnesses; t is left alone and takes no query
         spec = fixture_spec("intro")
-        phi = spec.formula
-        query = dependence_query(phi, ["w"], ["t", "v", "z"])
-        session = _Session(SOLVER)
-        first = session.solve(query)
-        assert first.is_sat
-        from ltlsplit import compute_z
-        z_set = compute_z(first.witness, ["t", "v", "z"])
-        got = look_for_dependent_variables(phi, query, z_set, ["w"],
-                                           ["t", "v", "z"], session)
-        assert set(got) == {"v", "w", "z"}
+        permuted = make_spec(spec.env, ("w", "t", "v", "z"), spec.formula)
+        result = partition(permuted, SOLVER)
+        assert [set(b.vars) for b in result.blocks] == [{"v", "w", "z"}, {"t"}]
+        assert result.blocks[0].vars[0] == "w"
+        assert result.query_log[0].formula == dependence_query(
+            spec.formula, ["w"], ["t", "v", "z"])
+        assert result.query_log[0].verdict == "SAT"
+        assert result.query_log[-1].formula == dependence_query(
+            spec.formula, result.blocks[0].vars, ["t"])
+        assert result.query_log[-1].verdict == "UNSAT"
 
 
 class TestVerifyPartition:
@@ -216,18 +221,15 @@ class TestVerifyPartition:
         # {{a,b},{c}} is sound for this formula: both audit queries solve
         # to Unsat, and the singleton subsets of {a,b} are each dependent
         spec = fixture_spec("not_ind")
-        from ltlsplit.decompose import Block, PartitionResult
         stated = PartitionResult(
-            [Block(("a", "b"), dependence_query(spec.formula, ("a", "b"), ("c",))),
-             Block(("c",), dependence_query(spec.formula, ("c",), ("a", "b")))], [])
+            [Block(("a", "b")), Block(("c",))], [])
         report = verify_partition(spec, stated, SOLVER, minimality=True)
         assert report.ok
 
     def test_non_minimal_partition_fails_minimality(self):
         spec = fixture_spec("pair")
-        from ltlsplit.decompose import Block, PartitionResult
         lumped = PartitionResult(
-            [Block(("a", "b"), dependence_query(spec.formula, ("a", "b"), ()))], [])
+            [Block(("a", "b"))], [])
         report = verify_partition(spec, lumped, SOLVER, minimality=True)
         assert not report.ok
         audit = report.block_audits[0]
@@ -236,24 +238,36 @@ class TestVerifyPartition:
 
     def test_unsound_block_reported_with_witness(self):
         spec = fixture_spec("not_ind")
-        from ltlsplit.decompose import Block, PartitionResult
         wrong = PartitionResult(
-            [Block(("a",), dependence_query(spec.formula, ("a",), ("b", "c"))),
-             Block(("b", "c"), dependence_query(spec.formula, ("b", "c"), ("a",)))],
-            [])
+            [Block(("a",)), Block(("b", "c"))], [])
         report = verify_partition(spec, wrong, SOLVER)
         assert not report.ok
         assert all(a.sound is False and a.witness is not None
                    for a in report.block_audits)
 
-    def test_oversized_block_skipped(self):
-        spec = fixture_spec("intro")
+    def test_seven_variable_block_fully_audited(self):
+        # every nonempty proper subset is audited, however large the block
+        spec = make_spec(["p"], list("abcdefg"),
+                         parse_formula("G(p -> (a | b | c | d | e | f | g))"))
         result = partition(spec, SOLVER)
-        report = verify_partition(spec, result, SOLVER, minimality=True,
-                                  max_minimality_block=2)
-        big = next(a for a in report.block_audits if len(a.vars) == 3)
-        assert big.minimality_skipped
-        assert big.minimality == []
+        assert result.block_sets() == {frozenset("abcdefg")}
+        report = verify_partition(spec, result, SOLVER, minimality=True)
+        assert report.ok
+        [audit] = report.block_audits
+        assert len(audit.minimality) == 2 ** 7 - 2 == 126
+        assert len({sub.subset for sub in audit.minimality}) == 126
+        assert all(sub.dependent for sub in audit.minimality)
+
+    @pytest.mark.parametrize("blocks, fault", [
+        ([("a",)], "missing b"),
+        ([("a",), ("b", "a")], "repeated a"),
+        ([("a",), ("b",), ("zz",)], "outside sys zz"),
+    ], ids=["missing", "repeated", "outside"])
+    def test_non_partition_rejected(self, blocks, fault):
+        spec = fixture_spec("pair")
+        stated = PartitionResult([Block(b) for b in blocks], [])
+        with pytest.raises(ValueError, match=fault):
+            verify_partition(spec, stated, SOLVER)
 
     def test_engine_limit_raised(self):
         spec = fixture_spec("intro")

@@ -34,7 +34,7 @@ from ltlsplit import (
 from ltlsplit import engine
 from ltlsplit.engine import serve_stdin_queries
 from ltlsplit.formula import Until, postorder
-from helpers import FIXTURES, fixture_spec, lasso, small_formula, spec_corpus
+from helpers import FIXTURES, fixture_spec, lasso, random_spec, small_formula
 
 INTRO_PHI = parse_formula(
     "G((p -> X(v & !t)) & (!p -> X(!v & t)) & "
@@ -217,19 +217,19 @@ EXTRA_SPECS = {
 }
 
 
-# Draws of ``spec_corpus(20240817, ...)`` (cap 30,000), pinned as one digest.
-# Draws 51, 52, 17, 54 and 97 have the most tableau sides that can only die
-# (their partitions expand 148,004 to 20,286 sides without the must/bad
-# check).  ``spec_corpus`` skips the stream's draw 93, which exceeds the
-# cap, so its draw 97 is draw 98 of ``bench/specs.py``; draw 98 here is
-# pinned as well.
-CORPUS_DRAWS = (17, 51, 52, 54, 97, 98)
+# Raw draws of ``random_spec(random.Random(20240817))``, numbered as in
+# ``bench/specs.py``, pinned as one digest.  Draws 51, 52, 17, 54 and 98
+# have the most tableau sides that can only die (their partitions expand
+# 148,004 to 20,286 sides without the must/bad check); draw 99 is pinned
+# as well.  None of them reaches the 30,000-state cap.
+CORPUS_DRAWS = (17, 51, 52, 54, 98, 99)
 
 
 def _pinned_specs(name):
     if name == "corpus":
-        corpus = spec_corpus(20240817, max(CORPUS_DRAWS) + 1)
-        return [corpus[i][0] for i in CORPUS_DRAWS]
+        rng = random.Random(20240817)
+        draws = [random_spec(rng) for _ in range(max(CORPUS_DRAWS) + 1)]
+        return [draws[i] for i in CORPUS_DRAWS]
     if name in EXTRA_SPECS:
         env, sys_, formula = EXTRA_SPECS[name]
         return [make_spec(env, sys_, parse_formula(formula))]
