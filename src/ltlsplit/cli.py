@@ -93,12 +93,14 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
     audits: dict = {}
+    audit_queries = 0
     try:
         result = partition(spec, solver)
         if args.verify or args.audit_minimality:
             report = verify_partition(spec, result, solver,
                                       minimality=args.audit_minimality)
             audits["soundness"] = all(a.sound for a in report.block_audits)
+            audit_queries = sum(1 + len(a.minimality) for a in report.block_audits)
             if args.audit_minimality:
                 audits["minimality"] = all(
                     sub.dependent for a in report.block_audits for sub in a.minimality)
@@ -108,6 +110,9 @@ def main(argv=None) -> int:
     except (InvariantViolation, WitnessSoundnessError) as exc:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_AUDIT
+    finally:
+        if isinstance(solver, ExternalSolver):
+            solver.close()
 
     evidence_path = None
     if args.log_queries:
@@ -127,6 +132,7 @@ def main(argv=None) -> int:
         "blocks": blocks,
         "queries": result.query_count,
         "audits": audits,
+        "audit_queries": audit_queries,
     }
     if evidence_path is not None:
         payload["evidence_path"] = str(evidence_path)
@@ -140,6 +146,7 @@ def main(argv=None) -> int:
             for i, members in enumerate(blocks, 1):
                 print(f"block {i}: {{{', '.join(members)}}}")
             print(f"solver queries: {result.query_count}")
+            print(f"audit queries: {audit_queries}")
             for name, ok in audits.items():
                 print(f"audit {name}: {'pass' if ok else 'FAIL'}")
             if evidence_path is not None:

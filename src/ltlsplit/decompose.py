@@ -61,12 +61,12 @@ def check_independent(phi: Formula, w, s, solver=None) -> tuple[bool, LassoTrace
     return (not result.is_sat, result.witness)
 
 
-def _disagreement(witness: LassoTrace, y) -> tuple[str, ...]:
-    """Disagreement set of a Sat witness over ``y``; empty means an engine fault."""
-    z_set = compute_z(witness, y)
-    if not z_set:
-        raise InvariantViolation("Sat witness produced an empty disagreement set")
-    return z_set
+def _disagreement(witness: LassoTrace, y) -> str:
+    """The first variable of ``y`` whose primed copy disagrees with it in a Sat witness."""
+    for z in y:
+        if compute_z(witness, (z,)):
+            return z
+    raise InvariantViolation("Sat witness produced an empty disagreement set")
 
 
 def _check_partition(blocks, sys_vars) -> None:
@@ -114,7 +114,7 @@ def partition(spec: Spec, solver=None) -> PartitionResult:
         while result.is_sat:
             locked = query
             while result.is_sat:
-                z = _disagreement(result.witness, y)[0]
+                z = _disagreement(result.witness, y)
                 locked = lock_conjunct(locked, z)
                 result = solve(locked)
             w = w + (z,)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -75,6 +76,7 @@ class TestMain:
         assert "block 1: {t}" in out
         assert "block 2: {v, w, z}" in out
         assert "solver queries: 6" in out
+        assert "audit queries: 0" in out
 
     def test_pair_blocks(self, tmp_path, capsys):
         path = write_spec(tmp_path, "pair.spec", spec_text("pair"))
@@ -107,6 +109,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert "audit soundness: pass" in out
         assert "audit minimality: pass" in out
+        assert "audit queries: 8" in out    # 2 blocks, and 6 proper subsets of {v, w, z}
+
+    @pytest.mark.parametrize("flags, count", [((), 0), (("--verify",), 2),
+                                              (("--audit-minimality",), 8)],
+                             ids=["none", "verify", "minimality"])
+    def test_json_counts_audit_queries(self, intro_file, capsys, flags, count):
+        assert main([str(intro_file), "--format", "json", *flags]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["audit_queries"] == count
 
     def test_quiet(self, intro_file, capsys):
         assert main([str(intro_file), "--quiet"]) == EXIT_OK
@@ -192,6 +202,27 @@ class TestMain:
         assert proc.returncode == EXIT_ENGINE
         assert proc.stderr == "error: tableau exceeded the state cap of 770\n"
         assert "FAIL" not in proc.stdout
+
+    @pytest.mark.parametrize("serve_args, code", [("", EXIT_OK), (", state_cap=2", EXIT_ENGINE)],
+                             ids=["ok", "limit"])
+    def test_external_child_reaped_when_main_returns(self, intro_file, tmp_path, capsys,
+                                                     monkeypatch, serve_args, code):
+        solvers = []    # keeps the solver alive, so only close() can reap its child
+        real = cli.partition
+
+        def spy(spec, solver):
+            solvers.append(solver)
+            return real(spec, solver)
+
+        monkeypatch.setattr(cli, "partition", spy)
+        pid_file = tmp_path / "child.pid"
+        serve = (f"import os; open({str(pid_file)!r}, 'w').write(str(os.getpid())); "
+                 + SERVE.format(serve_args))
+        command = shlex.join([sys.executable, "-c", serve])
+        assert main([str(intro_file), "--engine", f"external:{command}"]) == code
+        assert len(solvers) == 1
+        with pytest.raises(ProcessLookupError):     # reaped, not even a zombie
+            os.kill(int(pid_file.read_text()), 0)
 
     def test_external_engine_failure(self, intro_file, capsys):
         command = f"{sys.executable} -c \"import sys; sys.exit(1)\""

@@ -1,7 +1,9 @@
 """Satisfiability engine: NNF, automaton construction, emptiness, oracles."""
 
+import gc
 import hashlib
 import io
+import os
 import random
 import subprocess
 import sys
@@ -310,6 +312,21 @@ def fake_solver(script: str) -> ExternalSolver:
     return ExternalSolver([sys.executable, "-c", script])
 
 
+def pid_logging_serve(pid_file) -> list[str]:
+    """A self-hosted child that first writes its pid to ``pid_file``."""
+    return [sys.executable, "-c",
+            f"import os; open({str(pid_file)!r}, 'w').write(str(os.getpid())); " + SERVE[2]]
+
+
+def pid_alive(pid: int) -> bool:
+    """Whether ``pid`` names a process, a zombie included; a reaped child does not."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 class TestExternalSolver:
     def test_self_hosted_sat(self):
         res = ExternalSolver(SERVE).solve(parse_formula("a U b"))
@@ -388,6 +405,62 @@ class TestExternalSolver:
         with pytest.raises(ExternalSolverError, match="not UTF-8"):
             fake_solver("import sys; sys.stdout.buffer.write(bytes([255, 254]) + b'\\n')"
                         ).solve(parse_formula("a"))
+
+    def test_one_child_serves_a_whole_partition(self, tmp_path):
+        log = tmp_path / "starts.log"
+        code = f"open({str(log)!r}, 'a').write('1\\n'); " + SERVE[2]
+        with ExternalSolver([sys.executable, "-c", code]) as solver:
+            result = partition(make_spec(["p"], ["t", "v", "w", "z"], INTRO_PHI), solver)
+        assert result.query_count == 6
+        assert log.read_text().splitlines() == ["1"]
+
+    def test_garbage_collection_reaps_the_child(self, tmp_path):
+        solver = ExternalSolver(pid_logging_serve(tmp_path / "pid"))
+        assert solver.solve(parse_formula("a")).is_sat
+        del solver
+        gc.collect()
+        assert not pid_alive(int((tmp_path / "pid").read_text()))
+
+    def test_interpreter_exit_reaps_the_child(self, tmp_path):
+        script = ("import sys; from ltlsplit import ExternalSolver, parse_formula; "
+                  f"ExternalSolver({pid_logging_serve(tmp_path / 'pid')!r})"
+                  ".solve(parse_formula('a'))")
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=60)
+        assert not pid_alive(int((tmp_path / "pid").read_text()))
+
+    @pytest.mark.parametrize("wait_for_exit", [False, True], ids=["exiting", "gone"])
+    def test_one_shot_child_fails_its_second_query(self, wait_for_exit):
+        solver = fake_solver("input(); print('UNSAT')")
+        assert solver.solve(parse_formula("a")) is UNSAT
+        if wait_for_exit:
+            solver._child[0].wait(timeout=10)
+        with pytest.raises(ExternalSolverError, match="no output"):
+            solver.solve(parse_formula("a"))
+
+    def test_silent_child_times_out(self, monkeypatch):
+        monkeypatch.setattr(engine, "REPLY_TIMEOUT_S", 0.5)
+        solver = fake_solver("import time; input(); time.sleep(60)")
+        start = time.perf_counter()
+        with pytest.raises(ExternalSolverError, match="^external solver: no answer within 0.5 s$"):
+            solver.solve(parse_formula("a"))
+        assert time.perf_counter() - start < 30
+        assert solver._child is None
+
+    @pytest.mark.parametrize("reply, query, message", [
+        ("MAYBE", "a", "malformed verdict"),
+        ("SAT\n| {b}", "G a", "does not satisfy"),
+    ], ids=["malformed", "unsound"])
+    def test_fresh_child_after_a_protocol_violation(self, tmp_path, reply, query, message):
+        log = tmp_path / "starts.log"
+        code = (f"log = open({str(log)!r}, 'a+'); log.write('1\\n'); log.seek(0); "
+                f"print({reply!r}) if len(log.readlines()) == 1 else None; "
+                "log.close(); " + SERVE[2])
+        solver = ExternalSolver([sys.executable, "-c", code])
+        with pytest.raises(ExternalSolverError, match=message):
+            solver.solve(parse_formula(query))
+        assert solver.solve(parse_formula("a U b")).is_sat
+        solver.close()
+        assert log.read_text().splitlines() == ["1", "1"]
 
     def test_command_string_split(self):
         solver = ExternalSolver("solver --flag arg")
