@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     try:
         spec = parse_spec(text)
     except SpecError as exc:
-        print(f"error: {args.input}:{exc}", file=sys.stderr)
+        print(f"error: {args.input}:{'' if exc.line else ' '}{exc}", file=sys.stderr)
         return EXIT_INPUT
 
     audits: dict = {}

@@ -310,7 +310,7 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
 
 
 def _sccs(gba: Gba) -> Iterator[list[int]]:
-    """Tarjan's algorithm, iterative, over all states; each SCC, sorted, as it closes."""
+    """Tarjan's algorithm, iterative, over all states; each SCC as it closes."""
     n = len(gba.states)
     index = [-1] * n
     low = [0] * n
@@ -345,7 +345,7 @@ def _sccs(gba: Gba) -> Iterator[list[int]]:
                         comp.append(w)
                         if w == v:
                             break
-                    yield sorted(comp)
+                    yield comp
                 if work:
                     u, _ = work[-1]
                     if low[v] < low[u]:
@@ -400,7 +400,7 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     else:
         return UNSAT
 
-    entry_path = _bfs_path(gba, sorted(gba.initial), target_scc, None)
+    entry_path = _bfs_path(gba, gba.initial, target_scc, None)
     assert entry_path is not None
     s = entry_path[-1]
     prefix_nodes = entry_path[:-1]

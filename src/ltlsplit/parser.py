@@ -7,9 +7,10 @@ Spec files look like::
     sys: a b c
     formula: G(p -> a) & F b
 
-The formula may span multiple lines and runs to end of file.  Apostrophes
-are legal in formula text only as the prime mark produced by projection
-renaming; declared variable names may not carry one.
+The formula may span multiple lines and runs to end of file; a ``#``
+starts a comment that runs to end of line.  Apostrophes are legal in
+formula text only as the prime mark produced by projection renaming;
+declared variable names may not carry one.
 """
 
 from __future__ import annotations
@@ -39,6 +40,11 @@ RESERVED = frozenset({"true", "false", "G", "F", "X", "U", "R"})
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# One token per match, every character covered: a newline, a run of blanks,
+# a comment to end of line, a symbol, an identifier with an optional prime,
+# or any other single character, which is an error.
+_TOKEN_RE = re.compile(rf"(\n)|[ \t\r]+|#.*|(<->|->|[()&|!])|({_IDENT_RE.pattern})(')?|(.)")
+
 
 class SpecError(Exception):
     """Any rejection of an input document, with an optional position."""
@@ -51,62 +57,30 @@ class SpecError(Exception):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
-
-
-_SYMBOLS = ("<->", "->", "(", ")", "&", "|", "!")
-
-
-def _tokenize(text: str, start_line: int = 1, start_col: int = 1) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = start_line, start_col
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+def _tokenize(text: str, line: int = 1, col: int = 1) -> list[tuple[str, str, int, int]]:
+    """``(kind, text, line, col)`` tokens, ending with an ``eof`` token."""
+    tokens = []
+    line_start = 1 - col            # the text index that would sit in column 1
+    m = None
+    for m in _TOKEN_RE.finditer(text):
+        newline, sym, word, prime, other = m.groups()
+        col = m.start() - line_start + 1
+        if newline:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            m = _IDENT_RE.match(text, i)
-            if not m:
-                raise SpecError(f"unexpected character {ch!r}", line, col)
-            word = m.group(0)
-            tcol = col
-            i = m.end()
-            col += len(word)
-            primed = False
-            if i < n and text[i] == "'":
-                primed = True
-                i += 1
-                col += 1
-            if word in RESERVED:
-                if primed:
-                    raise SpecError(f"reserved word {word!r} cannot be primed", line, tcol)
-                tokens.append(Token("kw", word, line, tcol))
-            else:
-                tokens.append(Token("ident'" if primed else "ident", word, line, tcol))
-    tokens.append(Token("eof", "", line, col))
+            line_start = m.end()
+        elif sym:
+            tokens.append(("sym", sym, line, col))
+        elif word in RESERVED:
+            if prime:
+                raise SpecError(f"reserved word {word!r} cannot be primed", line, col)
+            tokens.append(("kw", word, line, col))
+        elif word:
+            tokens.append(("ident'" if prime else "ident", word, line, col))
+        elif other:
+            raise SpecError(f"unexpected character {other!r}", line, col)
+    # a trailing comment does not count toward the end-of-input column
+    end = m.start() if m and m.group().startswith("#") else len(text)
+    tokens.append(("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -119,71 +93,64 @@ _PREFIX = 6                 # binding strength of the prefix operators
 _PAREN = (0, None)          # an open parenthesis on the operator stack
 
 
-class _FormulaParser:
+def _parse(tokens: list[tuple[str, str, int, int]], positions: dict) -> Formula:
     """Operator-precedence parser with explicit operand and operator stacks.
 
     Precedence, loosest to tightest: ``<->``, ``->``, ``|``, ``&``,
     ``U``/``R``, unary ``! G F X``.  Every binary operator is right
     associative, so n-ary ``&``/``|`` chains fold to the right.  Nesting
     depth is bounded by memory, not by the interpreter's recursion limit.
+    Each atom's first ``(line, col)`` goes into ``positions`` under its base.
     """
+    operands: list[Formula] = []
+    operators: list[tuple[int, type | None]] = []
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.atom_positions: dict[str, tuple[int, int]] = {}
+    def reduce(strength: int) -> None:
+        """Apply stacked operators that bind tighter than ``strength``."""
+        while operators and operators[-1][0] > strength:
+            prec, cls = operators.pop()
+            if prec == _PREFIX:
+                operands[-1] = cls(operands[-1])
+            else:
+                right = operands.pop()
+                operands[-1] = cls(operands[-1], right)
 
-    def parse(self) -> Formula:
-        operands: list[Formula] = []
-        operators: list[tuple[int, type | None]] = []
-
-        def reduce(strength: int) -> None:
-            """Apply stacked operators that bind tighter than ``strength``."""
-            while operators and operators[-1][0] > strength:
-                prec, cls = operators.pop()
-                if prec == _PREFIX:
-                    operands[-1] = cls(operands[-1])
-                else:
-                    right = operands.pop()
-                    operands[-1] = cls(operands[-1], right)
-
-        expect_operand = True
-        for tok in self.tokens:     # the last token is always "eof"
-            if expect_operand:
-                if tok.text in _PREFIX_OPS:
-                    operators.append((_PREFIX, _PREFIX_OPS[tok.text]))
-                elif tok.text == "(":
-                    operators.append(_PAREN)
-                elif tok.text in _CONSTANTS:
-                    operands.append(_CONSTANTS[tok.text])
-                    expect_operand = False
-                elif tok.kind in ("ident", "ident'"):
-                    self.atom_positions.setdefault(tok.text, (tok.line, tok.col))
-                    operands.append(Atom(tok.text, tok.kind == "ident'"))
-                    expect_operand = False
-                else:
-                    raise SpecError(f"expected a formula, found {tok.text or 'end of input'!r}",
-                                    tok.line, tok.col)
-                continue
-            op = _BINARY_OPS.get(tok.text)
-            if op is not None:
-                reduce(op[0])
-                operators.append(op)
-                expect_operand = True
-                continue
-            reduce(0)
-            if not operators:
-                if tok.kind == "eof":
-                    break
-                raise SpecError(f"unexpected {tok.text!r} after formula", tok.line, tok.col)
-            if tok.text != ")":
-                raise SpecError(f"expected ')', found {tok.text or 'end of input'!r}",
-                                tok.line, tok.col)
-            operators.pop()
-        return operands[0]
+    expect_operand = True
+    for kind, text, line, col in tokens:     # the last is always "eof"
+        if expect_operand:
+            if text in _PREFIX_OPS:
+                operators.append((_PREFIX, _PREFIX_OPS[text]))
+            elif text == "(":
+                operators.append(_PAREN)
+            elif text in _CONSTANTS:
+                operands.append(_CONSTANTS[text])
+                expect_operand = False
+            elif kind in ("ident", "ident'"):
+                positions.setdefault(text, (line, col))
+                operands.append(Atom(text, kind == "ident'"))
+                expect_operand = False
+            else:
+                raise SpecError(f"expected a formula, found {text or 'end of input'!r}", line, col)
+            continue
+        op = _BINARY_OPS.get(text)
+        if op is not None:
+            reduce(op[0])
+            operators.append(op)
+            expect_operand = True
+            continue
+        reduce(0)
+        if not operators:
+            if kind == "eof":
+                break
+            raise SpecError(f"unexpected {text!r} after formula", line, col)
+        if text != ")":
+            raise SpecError(f"expected ')', found {text or 'end of input'!r}", line, col)
+        operators.pop()
+    return operands[0]
 
 
 def parse_formula(text: str) -> Formula:
-    return _FormulaParser(_tokenize(text)).parse()
+    return _parse(_tokenize(text), {})
 
 
 @dataclass(frozen=True)
@@ -201,87 +168,60 @@ def make_spec(env, sys_, formula: Formula) -> Spec:
 
 
 def _checked_spec(env, sys_, formula: Formula, positions) -> Spec:
-    """``make_spec``, placing an atom fault at ``positions[base]`` when known."""
+    """``make_spec``, placing a fault at ``positions`` when known: an atom's
+    under its base name, a declared name's under ``(kind, index)``."""
     env = tuple(env)
     sys_ = tuple(sys_)
     declared = set(env) | set(sys_)
     for a in sorted(atoms(formula), key=lambda a: (a.base, a.primed)):
-        line, col = positions.get(a.base, (None, None))
+        at = positions.get(a.base, (None, None))
         if a.primed:
-            raise SpecError(f"primed atom {a.base}' not allowed in an input spec", line, col)
+            raise SpecError(f"primed atom {a.base}' not allowed in an input spec", *at)
         if a.base not in declared:
-            raise SpecError(f"undeclared atom {a.base!r}", line, col)
+            raise SpecError(f"undeclared atom {a.base!r}", *at)
     for names, kind in ((env, "env"), (sys_, "sys")):
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise SpecError(f"duplicate {kind} variable {name!r}")
-            seen.add(name)
-    overlap = set(env) & set(sys_)
-    if overlap:
-        raise SpecError(f"variables declared both env and sys: {sorted(overlap)}")
+        for i, name in enumerate(names):
+            if names.index(name) < i:
+                raise SpecError(f"duplicate {kind} variable {name!r}",
+                                *positions.get((kind, i), (None, None)))
+    for i, name in enumerate(sys_):
+        if name in env:
+            raise SpecError(f"variables declared both env and sys: {sorted(set(env) & set(sys_))}",
+                            *positions.get(("sys", i), (None, None)))
     return Spec(env, sys_, formula)
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
-
-
 _WORD_RE = re.compile(r"\S+")
-
-
-def _parse_names(line: str, kind: str, line_no: int) -> list[str]:
-    """The names after ``kind:`` on a comment-stripped line, columns from that line."""
-    names = []
-    for m in _WORD_RE.finditer(line, line.index(f"{kind}:") + len(kind) + 1):
-        part, col = m.group(0), m.start() + 1
-        if "'" in part:
-            raise SpecError(f"apostrophe is illegal in variable names: {part!r}",
-                            line_no, col)
-        if part in RESERVED:
-            raise SpecError(f"reserved word {part!r} used as a variable", line_no, col)
-        if not _IDENT_RE.fullmatch(part):
-            raise SpecError(f"invalid variable name {part!r}", line_no, col)
-        names.append(part)
-    return names
+_HEADERS = ("env", "sys", "formula")
 
 
 def parse_spec(text: str) -> Spec:
     """Parse a full spec document; see the module docstring for the format."""
-    lines = text.split("\n")
-    env: list[str] | None = None
-    sys_: list[str] | None = None
-    formula_text: str | None = None
-    formula_line = 1
-    formula_col = 1
-
-    for idx, raw in enumerate(lines):
-        line_no = idx + 1
-        line = _strip_comment(raw)
+    names: dict[str, list[str]] = {}
+    positions: dict = {}
+    start = 0                       # text index of the current line
+    for line_no, raw in enumerate(text.split("\n"), 1):
+        line = raw.split("#", 1)[0]
         stripped = line.strip()
-        if not stripped:
-            continue
-        if env is None:
-            if not stripped.startswith("env:"):
-                raise SpecError("expected 'env:' line", line_no, line.find(stripped[0]) + 1)
-            env = _parse_names(line, "env", line_no)
-        elif sys_ is None:
-            if not stripped.startswith("sys:"):
-                raise SpecError("expected 'sys:' line", line_no, line.find(stripped[0]) + 1)
-            sys_ = _parse_names(line, "sys", line_no)
-        else:
-            if not stripped.startswith("formula:"):
-                raise SpecError("expected 'formula:' line", line_no, line.find(stripped[0]) + 1)
-            head_col = line.index("formula:") + len("formula:") + 1
-            first = line[head_col - 1:]
-            formula_text = "\n".join([first] + lines[idx + 1:])
-            formula_line = line_no
-            formula_col = head_col
-            break
-    if env is None or sys_ is None or formula_text is None:
-        raise SpecError("incomplete spec: need env:, sys: and formula: sections")
-
-    parser = _FormulaParser(_tokenize(formula_text, formula_line, formula_col))
-    formula = parser.parse()
-    return _checked_spec(env, sys_, formula, parser.atom_positions)
+        if stripped:
+            kind = _HEADERS[len(names)]
+            if not stripped.startswith(f"{kind}:"):
+                raise SpecError(f"expected '{kind}:' line", line_no, line.find(stripped[0]) + 1)
+            head = line.index(":") + 1
+            if kind == "formula":
+                formula = _parse(_tokenize(text[start + head:], line_no, head + 1), positions)
+                return _checked_spec(names["env"], names["sys"], formula, positions)
+            names[kind] = []
+            for m in _WORD_RE.finditer(line, head):
+                part, col = m.group(0), m.start() + 1
+                if "'" in part:
+                    raise SpecError(f"apostrophe is illegal in variable names: {part!r}",
+                                    line_no, col)
+                if part in RESERVED:
+                    raise SpecError(f"reserved word {part!r} used as a variable", line_no, col)
+                if not _IDENT_RE.fullmatch(part):
+                    raise SpecError(f"invalid variable name {part!r}", line_no, col)
+                positions[kind, len(names[kind])] = line_no, col
+                names[kind].append(part)
+        start += len(raw) + 1
+    raise SpecError("incomplete spec: need env:, sys: and formula: sections")

@@ -8,6 +8,7 @@ of atoms (closed world: an atom absent from a state is false).
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 
 from .formula import (
@@ -27,8 +28,11 @@ from .formula import (
     Until,
     postorder,
 )
+from .parser import _IDENT_RE
 
 State = frozenset[Atom]
+
+_NAME_RE = re.compile(f"{_IDENT_RE.pattern}'?")     # an atom, at most once primed
 
 
 def state(*names: str) -> State:
@@ -174,8 +178,10 @@ def parse_trace(text: str) -> LassoTrace:
                 continue
             if not (chunk.startswith("{") and chunk.endswith("}")):
                 raise ValueError(f"malformed state {chunk!r}")
-            inner = chunk[1:-1].strip()
-            names = [w.strip() for w in inner.split(",") if w.strip()] if inner else []
+            names = [w.strip() for w in chunk[1:-1].split(",") if w.strip()]
+            for name in names:
+                if not _NAME_RE.fullmatch(name):
+                    raise ValueError(f"malformed atom name {name!r}")
             states.append(state(*names))
         return tuple(states)
 

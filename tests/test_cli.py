@@ -169,6 +169,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert "q" in err and "3:" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("env: p\nsys: a b a\nformula: a\n", ":2:10: duplicate sys variable 'a'"),
+        ("env: p a\n  sys: b a # c\nformula: a\n",
+         ":2:10: variables declared both env and sys: ['a']"),
+        ("env: p\nsys: a\n", ": incomplete spec: need env:, sys: and formula: sections"),
+    ], ids=["duplicate", "overlap", "incomplete"])
+    def test_declaration_error_position(self, tmp_path, capsys, text, message):
+        path = write_spec(tmp_path, "bad.spec", text)
+        assert main([str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {path}{message}\n"
+
     def test_syntax_error_exit(self, tmp_path, capsys):
         path = write_spec(tmp_path, "bad.spec", "env: p\nsys: a\nformula: G(p ->\n")
         assert main([str(path)]) == EXIT_INPUT

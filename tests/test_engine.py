@@ -397,9 +397,9 @@ class TestExternalSolver:
             fake_solver("print('SAT'); print('| {b}')").solve(parse_formula("G a"))
 
     def test_malformed_witness(self):
-        with pytest.raises(ExternalSolverError, match="malformed witness"):
-            fake_solver("print('SAT'); print('not a trace')").solve(
-                parse_formula("a"))
+        for witness in ["not a trace", "| {a b}", "| {a''}", "|{a}|{b}"]:
+            with pytest.raises(ExternalSolverError, match="malformed witness"):
+                fake_solver(f"print('SAT'); print({witness!r})").solve(parse_formula("a"))
 
     def test_output_not_utf8(self):
         with pytest.raises(ExternalSolverError, match="not UTF-8"):

@@ -1,5 +1,8 @@
 """Formula grammar, precedence, and the spec file format."""
 
+import hashlib
+import random
+
 import pytest
 
 from ltlsplit import (
@@ -182,3 +185,76 @@ class TestMakeSpec:
     def test_undeclared(self):
         with pytest.raises(SpecError, match="undeclared"):
             make_spec(["p"], ["a"], parse_formula("b"))
+
+
+# Pieces of seeded random formula text: well-formed token streams, then token
+# faults, with every kind of gap and comment the grammar allows.
+_OPERANDS = ["a", "b", "c", "p", "q", "d", "a'", "true", "false"]
+_UNARY_OPS = ["!", "G", "F", "X"]
+_BINARY_OPS = ["&", "|", "->", "<->", "U", "R"]
+_NOISE = ["(", ")", "'", "$", "9", "<", "-", "X'", "true'", "a''", "@", "\f", "\u00e9"]
+_GAPS = [" ", " ", "", "\t", "\n", "\r\n", "  # note\n", "#\n"]
+_PADDING = ["", "  ", "# comment", "\t# env: x", "\f", "   # sys: y"]
+
+
+def _random_tokens(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return [rng.choice(_OPERANDS)]
+    if rng.random() < 0.3:
+        return [rng.choice(_UNARY_OPS)] + _random_tokens(rng, depth - 1)
+    inner = (_random_tokens(rng, depth - 1) + [rng.choice(_BINARY_OPS)]
+             + _random_tokens(rng, depth - 1))
+    return ["("] + inner + [")"] if rng.random() < 0.5 else inner
+
+
+def _random_formula_text(rng):
+    tokens = _random_tokens(rng, 4)
+    for _ in range(rng.choice((0, 0, 1, 2))):       # replace, insert or drop a token
+        i = rng.randrange(len(tokens) + 1)
+        piece = [rng.choice(_NOISE + _BINARY_OPS + _OPERANDS)] if rng.random() < 0.8 else []
+        tokens[i:i + rng.randrange(2)] = piece
+    text = "".join(tok + rng.choice(_GAPS) for tok in tokens)
+    return text if rng.random() < 0.5 else text.rstrip("\n") + rng.choice(("", " # end", "\t#"))
+
+
+def _random_spec_text(rng):
+    """A spec with valid declarations; headers may be out of order or missing."""
+    lines = ["env: p q" + rng.choice(("", " # e", "\t")),
+             "sys:a b  c" + rng.choice(("", "#s")),
+             "formula:" + rng.choice(("", " ", "\t")) + _random_formula_text(rng)]
+    fault = rng.random()
+    if fault < 0.1:
+        i = rng.randrange(2)
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    elif fault < 0.15:
+        del lines[rng.randrange(3)]
+    elif fault < 0.2:
+        lines[rng.randrange(3)] = rng.choice(("env p", "ENV: p", "formula a", " sys :a"))
+    for _ in range(rng.randrange(3)):
+        lines.insert(rng.randrange(len(lines)), rng.choice(_PADDING))
+    return "\n".join(rng.choice(("", " ", "\t")) + line for line in lines)
+
+
+def _outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except SpecError as exc:
+        return repr((str(exc), exc.line, exc.col))
+
+
+class TestPinnedOutcomes:
+    """Every parse result and every error position stays what it was.
+
+    One SHA-256 over the outcomes of seeded random formula strings and spec
+    documents: the ``repr`` of each result, or the message, line and column
+    of each ``SpecError``.  A change of grammar or diagnostics updates the
+    digest and says so in CHANGES.md.
+    """
+
+    def test_digest(self):
+        rng = random.Random(20241018)
+        digest = hashlib.sha256()
+        for _ in range(3000):
+            digest.update(_outcome(parse_formula, _random_formula_text(rng)).encode())
+            digest.update(_outcome(parse_spec, _random_spec_text(rng)).encode())
+        assert digest.hexdigest() == "60252ac86024ac9aaf3e2f52fc92cffee8b1f7e1d7ee464706d00301dd85521c"

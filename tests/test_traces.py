@@ -157,7 +157,8 @@ class TestSerialization:
         tau = lasso([state("p"), state("a", "a'")], [state(), state("b'")])
         assert parse_trace(format_trace(tau)) == tau
 
-    @pytest.mark.parametrize("text", ["", "{a}", "{a ; |", "| a}", "{a} |"])
+    @pytest.mark.parametrize("text", ["", "{a}", "{a ; |", "| a}", "{a} |",
+                                      "| {a b}", "| {a''}", "|{a}|{b}", "| {9}"])
     def test_malformed(self, text):
         with pytest.raises(ValueError):
             parse_trace(text)
