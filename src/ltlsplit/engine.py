@@ -1,16 +1,17 @@
 """LTL satisfiability with lasso witnesses.
 
-Pipeline: negation normal form -> generalized Buchi automaton (tableau
-over closure subsets as rank bitmasks) -> SCC-based emptiness check ->
-accepting lasso read back as a trace.  The tableau registers only the
-initial states and successors of registered states, so every automaton
-state is reachable and emptiness needs no separate reachability pass.
-It never builds a side of a split whose must-hold literals clash
-(``FALSE``, or an atom and its negation), as no leaf of it lives, and
-expands each distinct next-obligation set once: states that share the set
-share one successor list.  Every Sat answer is self-checked against the
-queried formula before it is returned; a failure here is an engine bug,
-never a caller error.
+Pipeline: negation normal form -> transition-based generalized Buchi
+automaton over next-obligation classes (tableau over closure subsets as
+rank bitmasks) -> SCC-based emptiness check -> accepting lasso read back
+as a trace.  A class is one distinct next-obligation set; its transitions
+are the tableau's (old, next) expansions of the set.  Classes are found
+only from class 0, the root obligation, along transitions, so every class
+is reachable and emptiness needs no separate reachability pass.  The
+tableau never builds a side of a split whose must-hold literals clash
+(``FALSE``, or an atom and its negation), as no leaf of it lives.  The
+state cap counts distinct (old, next) pairs.  Every Sat answer is
+self-checked against the queried formula before it is returned; a failure
+here is an engine bug, never a caller error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import weakref
 from collections.abc import Iterator
 from contextlib import AbstractContextManager, suppress
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import or_
 
 from .formula import (
     FALSE,
@@ -78,75 +80,95 @@ UNSAT = SatResult()
 
 
 _DUAL = {And: Or, Or: And, Until: Release, Release: Until}
-_ATOM_ORDER = attrgetter("base", "primed")
+
+
+def _nnf_node(g: Formula, positive: bool, pos: dict, neg: dict) -> Formula:
+    """nnf(g) if ``positive`` else nnf(!g), from the children's entries in ``pos``/``neg``."""
+    cls = g.__class__
+    same, other = (pos, neg) if positive else (neg, pos)
+    if cls is Atom:
+        return g if positive else Not(g)
+    if cls in _DUAL:
+        return (cls if positive else _DUAL[cls])(same[g.left], same[g.right])
+    if cls is Not:
+        return other[g.arg]
+    if cls is Next:
+        return Next(same[g.arg])
+    if cls is Eventually or cls is Always:
+        if (cls is Eventually) == positive:
+            return Until(TRUE, same[g.arg])
+        return Release(FALSE, same[g.arg])
+    if cls is Implies:
+        return (Or if positive else And)(other[g.left], same[g.right])
+    if cls is Iff:
+        return Or(And(pos[g.left], same[g.right]), And(neg[g.left], other[g.right]))
+    return TRUE if (cls is TrueF) == positive else FALSE
 
 
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
 
-    One pass over ``postorder(f)`` maps each node g to (nnf(g), nnf(!g));
-    the unique table hands back a node whose children are already in NNF.
+    A pass over ``postorder(f)``, parents first, marks which of nnf(g) and
+    nnf(!g) the result reads for each node g; a pass children first builds
+    only those.  The unique table hands back a node whose children are
+    already in NNF.
     """
-    nnf: dict[Formula, tuple[Formula, Formula]] = {}
-    for g in postorder(f):
+    nodes = postorder(f)
+    need = {f: 1}       # bit 1: nnf(g) is read, bit 2: nnf(!g) is read
+    for g in reversed(nodes):
+        m = need[g]
         cls = g.__class__
-        if cls is Atom:
-            pair = g, Not(g)
-        elif cls in _DUAL:
-            lp, ln = nnf[g.left]
-            rp, rn = nnf[g.right]
-            pair = cls(lp, rp), _DUAL[cls](ln, rn)
-        elif cls is Not:
-            p, n = nnf[g.arg]
-            pair = n, p
-        elif cls is Next:
-            p, n = nnf[g.arg]
-            pair = Next(p), Next(n)
-        elif cls is Eventually:
-            p, n = nnf[g.arg]
-            pair = Until(TRUE, p), Release(FALSE, n)
-        elif cls is Always:
-            p, n = nnf[g.arg]
-            pair = Release(FALSE, p), Until(TRUE, n)
-        elif cls is Implies:
-            lp, ln = nnf[g.left]
-            rp, rn = nnf[g.right]
-            pair = Or(ln, rp), And(lp, rn)
-        elif cls is Iff:
-            lp, ln = nnf[g.left]
-            rp, rn = nnf[g.right]
-            pair = Or(And(lp, rp), And(ln, rn)), Or(And(lp, rn), And(ln, rp))
-        elif cls is TrueF or cls is FalseF:
-            pair = (TRUE, FALSE) if cls is TrueF else (FALSE, TRUE)
-        else:
+        flip = (m & 1) << 1 | m >> 1
+        if cls is Not or cls is Next or cls is Eventually or cls is Always:
+            need[g.arg] = need.get(g.arg, 0) | (flip if cls is Not else m)
+        elif cls in _DUAL or cls is Implies or cls is Iff:
+            a, b = (3, 3) if cls is Iff else (flip, m) if cls is Implies else (m, m)
+            need[g.left] = need.get(g.left, 0) | a
+            need[g.right] = need.get(g.right, 0) | b
+        elif cls is not Atom and cls is not TrueF and cls is not FalseF:
             raise TypeError(f"unknown formula node {g!r}")
-        nnf[g] = pair
-    return nnf[f][0]
+    pos: dict[Formula, Formula] = {}
+    neg: dict[Formula, Formula] = {}
+    for g in nodes:
+        if need[g] & 1:
+            pos[g] = _nnf_node(g, True, pos, neg)
+        if need[g] & 2:
+            neg[g] = _nnf_node(g, False, pos, neg)
+    return pos[f]
 
 
 @dataclass
-class GbaState:
-    pos: tuple[Atom, ...]
-    neg: tuple[Atom, ...]
-    succ: list[int]
+class GbaClass:
+    """One class; ``succ`` holds its transitions ``(guard, acc, target)`` in ``cover`` order."""
+
+    succ: list[tuple[int, int, int]]
 
 
 @dataclass
 class Gba:
-    """Generalized Buchi automaton with guards on states.
+    """Transition-based generalized Buchi automaton over next-obligation classes.
 
-    A run q0 q1 ... reads the word whose letter i satisfies q_i's guard
-    (``pos`` atoms true, ``neg`` atoms false, the rest unconstrained).
-    Acceptance carries one state set per Until subformula.  Every state
-    is reachable from ``initial``: ``build_gba`` registers only initial
-    states and successors of registered states.  States with the same
-    next-obligation set share one ``succ`` list object; callers must not
-    mutate it.
+    A class is one distinct next-obligation set, numbered in discovery
+    order; class 0 holds the root obligation.  Each tableau expansion
+    (old, next) of a class is one transition ``(guard, acc, target)``: the
+    literal bits of ``old`` (``literals`` decodes them), acceptance bit j
+    set iff the j-th Until by rank is not in ``old`` or its right side is,
+    and the class of ``next``.  A run from class 0 reads, at step i, a
+    letter where the ``Atom`` literals of its transition's guard hold and
+    the ``Not`` literals fail; it accepts iff every bit of ``full`` recurs
+    infinitely often.  Every class is reachable from class 0.  ``pairs``
+    counts the distinct (old, next) expansions, which the state cap bounds;
+    each is one transition tuple, shared by every class that has it.
     """
 
-    states: list[GbaState]
-    initial: tuple[int, ...]
-    acceptance: tuple[frozenset[int], ...]
+    states: list[GbaClass]
+    nodes: list[Formula]    # the NNF subformulas by rank: guard bit i is nodes[i]
+    full: int
+    pairs: int
+
+    def literals(self, guard: int) -> list[Formula]:
+        """The ``Atom`` and ``Not`` nodes of a guard, by rank."""
+        return [self.nodes[i] for i in _ids(guard)]
 
 
 def _ids(mask: int) -> list[int]:
@@ -170,11 +192,10 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     bit, as is ``FALSE``'s, which is also its ``bad``; ``&`` takes the union,
     ``R`` its right side's, ``|`` and ``U`` the intersection, or the other
     side's when one side is dead (``must & bad`` nonzero).  ``cover`` never
-    builds a dead side, and each distinct next-obligation set is expanded
-    once into one ``succ`` list shared by every state with that set; neither
-    changes the automaton.  Raises ``EngineLimitError`` once more than
-    ``state_cap`` states would be registered, already while one expansion
-    alone yields more, and ``ValueError`` on a formula outside NNF.
+    builds a dead side, which leaves the automaton unchanged.  Each class is
+    expanded once.  Raises ``EngineLimitError`` once more than ``state_cap``
+    distinct (old, next) pairs would be registered, already while one
+    expansion alone yields more, and ``ValueError`` on a formula outside NNF.
     """
     nodes = postorder(f)
     rank = {g: i for i, g in enumerate(nodes)}
@@ -262,166 +283,141 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
                 key = (old, nxt)
                 if key not in results:
                     results[key] = None
-                    if len(results) > state_cap:    # each result becomes a distinct state
+                    if len(results) > state_cap:    # each result is a distinct pair
                         raise EngineLimitError(too_many)
         return results
 
-    ids: dict[tuple[int, int], int] = {}
-    order: list[tuple[int, int]] = []
+    root = 1 << len(nodes) - 1
+    class_of = {root: 0}            # next-obligation set -> class
+    masks = [root]                  # class -> next-obligation set
+    pair_id: dict[tuple[int, int], int] = {}   # (old, next) -> id; the cap counts these
+    targets: list[int] = []         # pair id -> class of its next
+    expansions: list[list[int]] = []    # class -> the ids of its cover results, in order
+    while len(expansions) < len(masks):
+        ids = []
+        for key in cover(masks[len(expansions)]):
+            i = pair_id.get(key)
+            if i is None:
+                if len(targets) >= state_cap:
+                    raise EngineLimitError(too_many)
+                target = class_of.setdefault(key[1], len(masks))
+                if target == len(masks):
+                    masks.append(key[1])
+                i = pair_id[key] = len(targets)
+                targets.append(target)
+            ids.append(i)
+        expansions.append(ids)
 
-    def state_id(key: tuple[int, int]) -> int:
-        idx = ids.get(key)
-        if idx is None:
-            if len(order) >= state_cap:
-                raise EngineLimitError(too_many)
-            idx = ids[key] = len(order)
-            order.append(key)
-        return idx
-
-    # A state's successors depend only on its next-obligations: one shared
-    # list per distinct set, computed where the set first occurs.
-    initial = tuple(state_id(key) for key in cover(1 << len(nodes) - 1))
-    succ_of: dict[int, list[int]] = {}
-    succs: list[list[int]] = []
-    while len(succs) < len(order):
-        nxt = order[len(succs)][1]
-        succ = succ_of.get(nxt)
-        if succ is None:
-            succ = succ_of[nxt] = sorted({state_id(k) for k in cover(nxt)})
-        succs.append(succ)
-
-    guards: dict[int, tuple] = {}   # one (pos, neg) per set of literals in ``old``
-    states: list[GbaState] = []
-    for (old, _), succ in zip(order, succs):
-        held = old & literals
-        if held not in guards:
-            lits = [nodes[x] for x in _ids(held)]
-            pos = sorted((g for g in lits if g.__class__ is Atom), key=_ATOM_ORDER)
-            neg = sorted((g.arg for g in lits if g.__class__ is Not), key=_ATOM_ORDER)
-            guards[held] = tuple(pos), tuple(neg)
-        states.append(GbaState(*guards[held], succ))
-
-    untils = [g for g in range(len(kind)) if kind[g] is Until]
-    acceptance = tuple(
-        frozenset(idx for idx, (old, _) in enumerate(order)
-                  if not old >> g & 1 or old >> right[g] & 1)
-        for g in untils)
-    return Gba(states, initial, acceptance)
+    # Guards and acceptance bits once per distinct pair, after the cap has held.
+    untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind) if k is Until]
+    transitions = []
+    for (old, _), target in zip(pair_id, targets):
+        acc = 0
+        for j, (until, fulfilled) in enumerate(untils):
+            if not old & until or old & fulfilled:
+                acc |= 1 << j
+        transitions.append((old & literals, acc, target))
+    states = [GbaClass([transitions[i] for i in ids]) for ids in expansions]
+    return Gba(states, nodes, (1 << len(untils)) - 1, len(transitions))
 
 
 def _sccs(gba: Gba) -> Iterator[list[int]]:
-    """Tarjan's algorithm, iterative, over all states; each SCC as it closes."""
+    """Tarjan's algorithm, iterative, over the classes from class 0; each SCC as it closes."""
     n = len(gba.states)
     index = [-1] * n
     low = [0] * n
     stack: list[int] = []
     counter = 0
-
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, None)]
-        while work:
-            v, succ = work[-1]
-            if succ is None:            # first visit: number v, then walk its edges
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                succ = iter(gba.states[v].succ)
-                work[-1] = v, succ
-            for w in succ:
-                if index[w] < 0:
-                    work.append((w, None))
-                    break
-                if index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                work.pop()
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        index[w] = n    # off the stack: edges to w no longer lower low
-                        comp.append(w)
-                        if w == v:
-                            break
-                    yield comp
-                if work:
-                    u, _ = work[-1]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
+    work = [(0, None)]
+    while work:
+        v, succ = work[-1]
+        if succ is None:            # first visit: number v, then walk its transitions
+            index[v] = low[v] = counter
+            counter += 1
+            stack.append(v)
+            succ = iter(gba.states[v].succ)
+            work[-1] = v, succ
+        for _, _, w in succ:
+            if index[w] < 0:
+                work.append((w, None))
+                break
+            if index[w] < low[v]:
+                low[v] = index[w]
+        else:
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    index[w] = n    # off the stack: transitions to w no longer lower low
+                    comp.append(w)
+                    if w == v:
+                        break
+                yield comp
+            if work:
+                u, _ = work[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
 
 
-def _bfs_path(gba: Gba, sources, targets: set[int], restrict: set[int] | None,
-              min_edges: int = 0) -> list[int] | None:
-    """Shortest path (as a node list incl. source and target) in succ order."""
-    starts = list(sources)
-    if min_edges == 0:
-        for s in starts:
-            if s in targets:
-                return [s]
-    parent: dict[int, int | None] = {s: None for s in starts}
-    frontier = starts
+def _bfs(gba: Gba, start: int, inside: set[int] | None, goal) -> list[tuple[int, int, int]]:
+    """A shortest path of one or more transitions from class ``start`` to one that
+    meets ``goal``, every transition ending in ``inside`` (if given); ties go by ``succ`` order."""
+    parent: dict[int, tuple | None] = {start: None}     # class -> (class, transition) into it
+    frontier = [start]
     while frontier:
-        nxt = []
+        reached = []
         for v in frontier:
-            for w in gba.states[v].succ:
-                if restrict is not None and w not in restrict:
+            for t in gba.states[v].succ:
+                w = t[2]
+                if inside is not None and w not in inside:
                     continue
-                if w in targets:
-                    path = [w, v]
-                    u = parent[v]
-                    while u is not None:
-                        path.append(u)
-                        u = parent[u]
+                if goal(t):
+                    path = [t]
+                    while parent[v] is not None:
+                        v, t = parent[v]
+                        path.append(t)
                     path.reverse()
                     return path
                 if w not in parent:
-                    parent[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    return None
+                    parent[w] = v, t
+                    reached.append(w)
+        frontier = reached
+    raise AssertionError("an accepting SCC has no path to its transition")
 
 
 def find_accepting_lasso(gba: Gba) -> SatResult:
-    """Unsat iff no cycle visits every acceptance set.
+    """Unsat iff no SCC has an internal transition and internal transitions
+    whose acceptance bits together are ``full``.
 
-    Otherwise returns a lasso trace read off the guards of an accepting
-    cycle; unconstrained atoms in a guard default to false.  Relies on
-    the ``Gba`` invariant that every state is reachable from ``initial``.
+    Otherwise returns a lasso read off the guards of a path from class 0
+    into the first such SCC and of a cycle there through every acceptance
+    bit; atoms a guard leaves free are false.
     """
-    if not gba.initial:
-        return UNSAT
     for comp in _sccs(gba):
-        target_scc = set(comp)
-        if (any(w in target_scc for v in comp for w in gba.states[v].succ)
-                and all(target_scc & acc for acc in gba.acceptance)):
+        inside = set(comp)
+        marks = [acc for v in comp for _, acc, w in gba.states[v].succ if w in inside]
+        if marks and reduce(or_, marks) == gba.full:
             break
     else:
         return UNSAT
 
-    entry_path = _bfs_path(gba, gba.initial, target_scc, None)
-    assert entry_path is not None
-    s = entry_path[-1]
-    prefix_nodes = entry_path[:-1]
+    prefix = [] if 0 in inside else _bfs(gba, 0, None, lambda t: t[2] in inside)
+    start = cur = prefix[-1][2] if prefix else 0
+    cycle: list[tuple[int, int, int]] = []
+    missing = gba.full
+    while missing:
+        bit = missing & -missing
+        path = _bfs(gba, cur, inside, lambda t: t[1] & bit)
+        for _, acc, cur in path:
+            missing &= ~acc
+        cycle += path
+    if cur != start or not cycle:
+        cycle += _bfs(gba, cur, inside, lambda t: t[2] == start)
 
-    cycle = [s]
-    cur = s
-    for acc in gba.acceptance:
-        if any(v in acc for v in cycle):
-            continue
-        path = _bfs_path(gba, [cur], set(acc) & target_scc, target_scc)
-        assert path is not None
-        cycle.extend(path[1:])
-        cur = cycle[-1]
-    closing = _bfs_path(gba, [cur], {s}, target_scc, min_edges=1)
-    assert closing is not None
-    cycle.extend(closing[1:-1])
-
-    def letters(path: list[int]) -> tuple[frozenset[Atom], ...]:
-        return tuple(frozenset(gba.states[i].pos) for i in path)
-
-    return SatResult(LassoTrace(letters(prefix_nodes), letters(cycle)))
+    letters = [frozenset(g for g in gba.literals(guard) if g.__class__ is Atom)
+               for guard, _, _ in prefix + cycle]
+    return SatResult(LassoTrace(tuple(letters[:len(prefix)]), tuple(letters[len(prefix):])))
 
 
 def ltl_sat(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> SatResult:

@@ -40,10 +40,12 @@ RESERVED = frozenset({"true", "false", "G", "F", "X", "U", "R"})
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+_BLANKS = " \t\r"           # the only whitespace besides the newline, in formulas and headers
+
 # One token per match, every character covered: a newline, a run of blanks,
 # a comment to end of line, a symbol, an identifier with an optional prime,
 # or any other single character, which is an error.
-_TOKEN_RE = re.compile(rf"(\n)|[ \t\r]+|#.*|(<->|->|[()&|!])|({_IDENT_RE.pattern})(')?|(.)")
+_TOKEN_RE = re.compile(rf"(\n)|[{_BLANKS}]+|#.*|(<->|->|[()&|!])|({_IDENT_RE.pattern})(')?|(.)")
 
 
 class SpecError(Exception):
@@ -191,7 +193,7 @@ def _checked_spec(env, sys_, formula: Formula, positions) -> Spec:
     return Spec(env, sys_, formula)
 
 
-_WORD_RE = re.compile(r"\S+")
+_WORD_RE = re.compile(rf"[^{_BLANKS}]+")
 _HEADERS = ("env", "sys", "formula")
 
 
@@ -202,7 +204,7 @@ def parse_spec(text: str) -> Spec:
     start = 0                       # text index of the current line
     for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.split("#", 1)[0]
-        stripped = line.strip()
+        stripped = line.strip(_BLANKS)
         if stripped:
             kind = _HEADERS[len(names)]
             if not stripped.startswith(f"{kind}:"):

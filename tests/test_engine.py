@@ -30,6 +30,7 @@ from ltlsplit import (
     make_spec,
     parse_formula,
     partition,
+    print_formula,
     state,
     to_nnf,
 )
@@ -81,7 +82,19 @@ class TestNnf:
                 assert eval_formula(tau, f, 0) == eval_formula(tau, g, 0)
 
 
+def _guards(gba):
+    """The (true atoms, false atoms) of every transition's guard."""
+    for cls in gba.states:
+        for guard, _, _ in cls.succ:
+            lits = gba.literals(guard)
+            yield ({g for g in lits if isinstance(g, Atom)},
+                   {g.arg for g in lits if isinstance(g, Not)})
+
+
 class TestBuildGba:
+    """A state of the automaton is a class, one distinct next-obligation set;
+    its transitions are the tableau's (old, next) expansions of the set."""
+
     def test_requires_nnf(self):
         with pytest.raises(ValueError):
             build_gba(parse_formula("!(a & b)"))
@@ -89,35 +102,43 @@ class TestBuildGba:
     def test_always_a_single_looping_state(self):
         gba = build_gba(to_nnf(parse_formula("G a")))
         assert len(gba.states) == 1
-        st = gba.states[0]
-        assert st.succ == [0]
-        assert st.pos == (parse_formula("a"),)
-        assert st.neg == ()
+        [(guard, acc, target)] = gba.states[0].succ
+        assert gba.literals(guard) == [parse_formula("a")]
+        assert (acc, target, gba.full, gba.pairs) == (0, 0, 0, 1)
+
+    def test_eventually_marks_the_fulfilling_transition(self):
+        """``F a``: waiting loops on class 0 unmarked; reading ``a`` is marked."""
+        gba = build_gba(to_nnf(parse_formula("F a")))
+        assert gba.full == 1
+        assert [[(gba.literals(g), acc, w) for g, acc, w in cls.succ] for cls in gba.states] == [
+            [([], 0, 0), ([parse_formula("a")], 1, 1)], [([], 1, 1)]]
 
     def test_contradiction_has_no_states(self):
         gba = build_gba(to_nnf(parse_formula("a & !a")))
-        assert gba.initial == ()
+        assert [cls.succ for cls in gba.states] == [[]]
+        assert gba.pairs == 0
 
     def test_guards_consistent(self):
         gba = build_gba(to_nnf(parse_formula("(a U !b) & (b R (a | c))")))
-        for st in gba.states:
-            assert not set(st.pos) & set(st.neg)
+        for pos, neg in _guards(gba):
+            assert not pos & neg
 
     def test_one_acceptance_set_per_until(self):
         f = to_nnf(parse_formula("(a U b) & F c & G d"))
         untils = {n for n in postorder(f) if isinstance(n, Until)}
         gba = build_gba(f)
-        assert len(gba.acceptance) == len(untils) == 2
+        assert len(untils) == 2
+        assert gba.full == 0b11
 
     def test_state_cap(self):
         with pytest.raises(EngineLimitError):
             build_gba(to_nnf(parse_formula("a | b")), state_cap=1)
 
     def test_state_cap_stops_an_expansion_that_cannot_fit(self):
-        """The 2**18 initial states of this chain are not all expanded under cap 5.
+        """The 2**18 expansions of this chain's root are not all made under cap 5.
 
-        Expanding all of them before the first state is refused took about
-        5 s; one expansion that has produced more states than the cap stops.
+        Making all of them before the first pair is refused took about
+        5 s; one expansion that has produced more pairs than the cap stops.
         """
         f = parse_formula(" & ".join(f"(a{i} | b{i})" for i in range(18)))
         start = time.perf_counter()
@@ -126,12 +147,15 @@ class TestBuildGba:
         assert time.perf_counter() - start < 1.0
 
     def test_state_cap_is_exact(self):
-        """An automaton of n states builds under cap n and is refused under n - 1."""
+        """An automaton of n distinct (old, next) pairs builds under cap n and
+        is refused under n - 1; each pair is one shared transition."""
         rng = random.Random(12)
         for _ in range(50):
             f = to_nnf(small_formula(rng, ["p", "q", "r"], 6))
-            n = len(build_gba(f).states)
-            assert len(build_gba(f, state_cap=n).states) == n
+            gba = build_gba(f)
+            n = gba.pairs
+            assert n == len({id(t) for cls in gba.states for t in cls.succ})
+            assert build_gba(f, state_cap=n).pairs == n
             if n:
                 with pytest.raises(EngineLimitError):
                     build_gba(f, state_cap=n - 1)
@@ -140,11 +164,11 @@ class TestBuildGba:
         rng = random.Random(11)
         for _ in range(50):
             gba = build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 6)))
-            seen = set(gba.initial)
-            frontier = list(gba.initial)
+            seen = {0}
+            frontier = [0]
             while frontier:
                 v = frontier.pop()
-                for w in gba.states[v].succ:
+                for _, _, w in gba.states[v].succ:
                     if w not in seen:
                         seen.add(w)
                         frontier.append(w)
@@ -153,8 +177,8 @@ class TestBuildGba:
     def test_no_state_guard_holds_an_atom_and_its_negation(self):
         rng = random.Random(13)
         for _ in range(200):
-            for st in build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 8))).states:
-                assert not set(st.pos) & set(st.neg)
+            for pos, neg in _guards(build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 8)))):
+                assert not pos & neg
 
     def test_inconsistent_obligations_yield_no_state(self):
         """FALSE, or x with !x (also nested under &), kills the whole obligation set."""
@@ -165,46 +189,45 @@ class TestBuildGba:
             h = small_formula(rng, names, 4)
             x = Atom(rng.choice(names))
             for dead in (FALSE, And(x, Not(x)), And(Not(x), And(h, x))):
-                assert build_gba(to_nnf(And(g, dead))).states == []
+                assert [cls.succ for cls in build_gba(to_nnf(And(g, dead))).states] == [[]]
                 gba = build_gba(to_nnf(And(g, Next(dead))))
-                assert len(gba.states) == len(gba.initial)
-                assert all(st.succ == [] for st in gba.states)
+                assert all(cls.succ == [] for cls in gba.states[1:])
 
     def test_deterministic_construction(self):
         f = to_nnf(dependence_query(INTRO_PHI, ["w"], ["t", "v", "z"]))
         g1, g2 = build_gba(f), build_gba(f)
-        assert ([(s.pos, s.neg, s.succ) for s in g1.states]
-                == [(s.pos, s.neg, s.succ) for s in g2.states])
-        assert g1.initial == g2.initial
-        assert g1.acceptance == g2.acceptance
+        assert [c.succ for c in g1.states] == [c.succ for c in g2.states]
+        assert (g1.nodes, g1.full, g1.pairs) == (g2.nodes, g2.full, g2.pairs)
 
 
 # SHA-256, per spec, of every automaton ``partition`` builds for it, as
-# recorded at commit 30b4544 (resp3 at commit 843b7f3, corpus at 505f4e8).
+# recorded when the automaton moved to transitions over next-obligation
+# classes.
 AUTOMATON_DIGESTS = {
-    "chain3": "f611134a5a1510abf4f67960f9f59dea2e3c432eb9b5af7d9752605858b59445",
-    "corpus": "1bfacb857b4d84ccab24d06fb286bd4c8e6b500e053c0b50676f736c2e870303",
-    "intro": "d3b64719ec2afe9af42786a489f0ae9fc7cfb03ff6e3309ee0d0dcf2870cdafb",
-    "not_ind": "9405dde171fa60936218bade76db3a0ea1c17aaed89dc4ff0919c120c3b574b1",
-    "pair": "b11456355f69bc780dad3aabdd79496af55c312110c840e54e914c5b4822dca6",
-    "resp3": "e891865d0e45642be72cc19ae97a5359b24a91e283ffe64a29e916003ee4b5a1",
-    "surprise": "92233e039dcbb2da7be320c9182d0c0fa5034efddc6d9ebc7acb24a407f7a13d",
-    "tail": "9dbcb40c9e35f442ff5006c90beeec650e5c194abdf4816e63395b39f5498b3e",
-    "triple": "e945f07c3df6e5187bffa8d2f998ac5bad83cc6d0b7ceb5db784ea10967cee77",
+    "chain3": "7db7f8ca3df957474f7b03fda03e86fb79d95dd2c6fbad891819892e50e97719",
+    "corpus": "1b185b1fa1b0ad1d6708008782ebdd5564a7a32aa6c5b34e9592b6bb7ab91da0",
+    "intro": "67b4f107229240fa877faf62c7b57156c3933854eb84879a3407598c3ff5a22e",
+    "not_ind": "daef9b88dbb8bdbd59e50d39d9737d7ad9845aabb1e844dbbcab883c881d87ed",
+    "pair": "fba36739179ef6b27677ca4922fe15c548f3fd11adb24e48d699b185b208da80",
+    "resp3": "09cdb2b019f41c0c30bcb9614a1b5d9b3a5d4517a992eabca3307e235bb691f9",
+    "surprise": "e38de0e49c581d18ac6b8a081f98ab43d3f022cd13e1a091e09665a33d646cfe",
+    "tail": "5f7be078c46dff20b09c4278ab2870f911346ac510b7926c49e51d9ba2143d8b",
+    "triple": "4dad834c35b0c912bec93f4ec40b3b75aa96dfc2da9e949df8d2fe5359c4f30a",
 }
 
 
 class _DigestingSolver:
-    """Answers each query from its tableau and hashes every state, guard and edge."""
+    """Answers each query from its automaton and hashes every class transition."""
 
     def __init__(self):
         self.digest = hashlib.sha256()
 
     def solve(self, f):
         gba = build_gba(to_nnf(f))
-        for st in gba.states:
-            self.digest.update(repr((st.pos, st.neg, st.succ)).encode())
-        self.digest.update(repr((gba.initial, [sorted(a) for a in gba.acceptance])).encode())
+        for cls in gba.states:
+            self.digest.update(repr([([print_formula(g) for g in gba.literals(guard)], acc, w)
+                                     for guard, acc, w in cls.succ]).encode())
+        self.digest.update(repr((gba.full, gba.pairs)).encode())
         result = find_accepting_lasso(gba)
         assert not result.is_sat or eval_formula(result.witness, f, 0)
         return result
@@ -242,9 +265,9 @@ def _pinned_specs(name):
 def test_partition_automata_are_pinned(name):
     """The tableau of every partition query is the one it has always been.
 
-    Speed-ups of the tableau must keep every automaton identical: states in
-    the same order, with the same guards, successor lists, initial states
-    and acceptance sets.  A change meant to alter automata (ROADMAP items
+    Speed-ups of the tableau must keep every automaton identical: classes
+    in the same order, with the same transitions (guard, acceptance bits,
+    target) and the same number of distinct (old, next) pairs.  A change meant to alter automata (ROADMAP items
     3-5) updates these digests and names, in CHANGES.md, the witnesses that
     changed.
     """
@@ -252,6 +275,30 @@ def test_partition_automata_are_pinned(name):
     for spec in _pinned_specs(name):
         partition(spec, solver)
     assert solver.digest.hexdigest() == AUTOMATON_DIGESTS[name]
+
+
+# SHA-256 of the printed query log and verdicts of every ``partition`` run
+# over the fixtures, the extra specs and the pinned corpus draws, recorded at
+# commit 8baea91.  It reads no automaton and no witness, so it holds across
+# changes of the engine's representation that keep every query and verdict.
+QUERY_LOG_DIGEST = "05233cf1df9ea022b08730d0c0949851eb8cbe7d4f6b0ff04ae442775276c878"
+
+
+def test_partition_query_logs_are_pinned():
+    digest = hashlib.sha256()
+    for name in [*sorted(FIXTURES), *EXTRA_SPECS, "corpus"]:
+        for spec in _pinned_specs(name):
+            for q in partition(spec).query_log:
+                digest.update(f"{q.verdict} {print_formula(q.formula)}\n".encode())
+    assert digest.hexdigest() == QUERY_LOG_DIGEST
+
+
+def test_corpus_draw_93_exceeds_the_corpus_cap():
+    """The one raw corpus draw that runs out of budget at 30,000 still does."""
+    rng = random.Random(20240817)
+    draw = [random_spec(rng) for _ in range(94)][93]
+    with pytest.raises(EngineLimitError, match="state cap of 30000$"):
+        partition(draw, InternalSolver(30_000))
 
 
 class TestFindAcceptingLasso:
@@ -278,9 +325,11 @@ class TestFindAcceptingLasso:
 
 class TestLtlSat:
     def test_true_has_empty_model(self):
+        """Class 0 ({true}) steps to the empty class, which loops: one empty
+        letter into the cycle."""
         res = ltl_sat(parse_formula("true"))
         assert res.is_sat
-        assert res.witness == lasso([], [state()])
+        assert res.witness == lasso([state()], [state()])
 
     def test_pair_query_unsat(self):
         phi = parse_formula("F (p -> X(a & b)) & G !b")

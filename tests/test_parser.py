@@ -168,6 +168,18 @@ class TestParseSpec:
             parse_spec(text)
         assert (err.value.line, err.value.col) == (line, col)
 
+    @pytest.mark.parametrize("text,line,col,message", [
+        ("\x0cenv:\xa0p\nsys: a\nformula: a", 1, 1, "expected 'env:' line"),
+        ("env: p\nsys: a\nformula: a\xa0& p", 3, 11, "unexpected character '\\xa0'"),
+        ("env: p\nsys: a\nformula:\x0ca", 3, 9, "unexpected character '\\x0c'"),
+    ], ids=["form-feed-before-header", "nbsp-in-formula", "form-feed-in-formula"])
+    def test_headers_and_formulas_share_one_whitespace(self, text, line, col, message):
+        """Only space, tab, carriage return and newline separate, as in formulas."""
+        with pytest.raises(SpecError) as err:
+            parse_spec(text)
+        assert (err.value.line, err.value.col) == (line, col)
+        assert str(err.value) == f"{line}:{col}: {message}"
+
     def test_missing_sections(self):
         with pytest.raises(SpecError, match="incomplete"):
             parse_spec("env: p\n")
@@ -257,4 +269,4 @@ class TestPinnedOutcomes:
         for _ in range(3000):
             digest.update(_outcome(parse_formula, _random_formula_text(rng)).encode())
             digest.update(_outcome(parse_spec, _random_spec_text(rng)).encode())
-        assert digest.hexdigest() == "60252ac86024ac9aaf3e2f52fc92cffee8b1f7e1d7ee464706d00301dd85521c"
+        assert digest.hexdigest() == "080dcc5f35ac9285cd849f422d7dc1debfc4f5361bc8c0fca92a8100a2aa3312"
