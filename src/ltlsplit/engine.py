@@ -360,9 +360,9 @@ def _sccs(gba: Gba) -> Iterator[list[int]]:
                     low[u] = low[v]
 
 
-def _bfs(gba: Gba, start: int, inside: set[int] | None, goal) -> list[tuple[int, int, int]]:
+def _bfs(gba: Gba, start: int, inside, goal) -> list[tuple[int, int, int]]:
     """A shortest path of one or more transitions from class ``start`` to one that
-    meets ``goal``, every transition ending in ``inside`` (if given); ties go by ``succ`` order."""
+    meets ``goal``, every transition ending in ``inside``; ties go by ``succ`` order."""
     parent: dict[int, tuple | None] = {start: None}     # class -> (class, transition) into it
     frontier = [start]
     while frontier:
@@ -370,7 +370,7 @@ def _bfs(gba: Gba, start: int, inside: set[int] | None, goal) -> list[tuple[int,
         for v in frontier:
             for t in gba.states[v].succ:
                 w = t[2]
-                if inside is not None and w not in inside:
+                if w not in inside:
                     continue
                 if goal(t):
                     path = [t]
@@ -402,7 +402,7 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     else:
         return UNSAT
 
-    prefix = [] if 0 in inside else _bfs(gba, 0, None, lambda t: t[2] in inside)
+    prefix = [] if 0 in inside else _bfs(gba, 0, range(len(gba.states)), lambda t: t[2] in inside)
     start = cur = prefix[-1][2] if prefix else 0
     cycle: list[tuple[int, int, int]] = []
     missing = gba.full
