@@ -1,6 +1,7 @@
 """LTL satisfiability with lasso witnesses.
 
-Pipeline: negation normal form -> transition-based generalized Buchi
+Pipeline: negation normal form (``FALSE`` for a query that conjoins some
+!g with every conjunct of g) -> transition-based generalized Buchi
 automaton over next-obligation classes (tableau over closure subsets as
 rank bitmasks) -> SCC-based emptiness check -> accepting lasso read back
 as a trace.  A class is one distinct next-obligation set; its transitions
@@ -44,6 +45,7 @@ from .formula import (
     Release,
     TrueF,
     Until,
+    map_atoms,
     postorder,
     print_formula,
 )
@@ -105,14 +107,44 @@ def _nnf_node(g: Formula, positive: bool, pos: dict, neg: dict) -> Formula:
     return TRUE if (cls is TrueF) == positive else FALSE
 
 
+def _conjuncts(f: Formula) -> list[Formula]:
+    """The top-level conjuncts of ``f``, with ``G`` distributed over ``&``."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        if g.__class__ is And:
+            stack += (g.left, g.right)
+        elif g.__class__ is Always and g.arg.__class__ is And:
+            stack += (Always(g.arg.left), Always(g.arg.right))
+        else:
+            out.append(g)
+    return out
+
+
+def _refuted(f: Formula) -> bool:
+    """Whether a conjunct of ``f`` is ``!g`` and every conjunct of g is one of f's,
+    with every locked ``z'`` read as z: a conjunct ``G(z <-> z')``, z unprimed,
+    locks z, and under it that reading keeps each conjunct's truth value."""
+    conj = _conjuncts(f)
+    locked = {c.arg.left.base for c in conj if c.__class__ is Always
+              and c.arg.__class__ is Iff and c.arg.left.__class__ is Atom
+              and c.arg is Iff(Atom(c.arg.left.base), Atom(c.arg.left.base, True))}
+    if locked:
+        conj = _conjuncts(map_atoms(f, lambda a: Atom(a.base) if a.base in locked else a))
+    have = set(conj)
+    return any(c.__class__ is Not and have.issuperset(_conjuncts(c.arg)) for c in conj)
+
+
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
 
-    A pass over ``postorder(f)``, parents first, marks which of nnf(g) and
-    nnf(!g) the result reads for each node g; a pass children first builds
-    only those.  The unique table hands back a node whose children are
-    already in NNF.
+    ``FALSE`` when ``_refuted(f)``.  Otherwise a pass over ``postorder(f)``,
+    parents first, marks which of nnf(g) and nnf(!g) the result reads for
+    each node g; a pass children first builds only those.  The unique table
+    hands back a node whose children are already in NNF.
     """
+    if _refuted(f):
+        return FALSE
     nodes = postorder(f)
     need = {f: 1}       # bit 1: nnf(g) is read, bit 2: nnf(!g) is read
     for g in reversed(nodes):

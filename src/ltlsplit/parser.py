@@ -208,7 +208,9 @@ def parse_spec(text: str) -> Spec:
         if stripped:
             kind = _HEADERS[len(names)]
             if not stripped.startswith(f"{kind}:"):
-                raise SpecError(f"expected '{kind}:' line", line_no, line.find(stripped[0]) + 1)
+                col = line.find(stripped[0]) + 1
+                _tokenize(stripped[0], line_no, col)    # raises on a character no token starts with
+                raise SpecError(f"expected '{kind}:' line", line_no, col)
             head = line.index(":") + 1
             if kind == "formula":
                 formula = _parse(_tokenize(text[start + head:], line_no, head + 1), positions)

@@ -21,11 +21,14 @@ from ltlsplit import (
     InternalSolver,
     Next,
     Not,
+    Or,
     UNSAT,
+    atoms,
     build_gba,
     dependence_query,
     eval_formula,
     find_accepting_lasso,
+    lock_conjunct,
     ltl_sat,
     make_spec,
     parse_formula,
@@ -33,10 +36,12 @@ from ltlsplit import (
     print_formula,
     state,
     to_nnf,
+    verify_partition,
 )
 from ltlsplit import engine
 from ltlsplit.engine import serve_stdin_queries
 from ltlsplit.formula import Until, postorder
+from brute import bounded_sat
 from helpers import FIXTURES, fixture_spec, lasso, random_spec, small_formula
 
 INTRO_PHI = parse_formula(
@@ -80,6 +85,74 @@ class TestNnf:
             g = to_nnf(f)
             for tau in traces:
                 assert eval_formula(tau, f, 0) == eval_formula(tau, g, 0)
+
+
+def _resp(n):
+    """``n`` disjoint responses ``G(p_i -> X a_i)``; every block is a singleton."""
+    return make_spec([f"p{i}" for i in range(n)], [f"a{i}" for i in range(n)],
+                     parse_formula(" & ".join(f"G(p{i} -> X a{i})" for i in range(n))))
+
+
+class TestRefutation:
+    """``to_nnf`` gives ``FALSE`` for a conjunction that holds some !g next to
+    every conjunct of g, once each locked ``z'`` reads as z."""
+
+    def test_refuted_queries_are_unsat(self):
+        """Every refuted query of random specs, W/Y splits and lock sets is
+        Unsat to the engine without the check (an ``Or`` at the top hides the
+        conjuncts) and has no lasso of a small shape to the brute oracle."""
+        rng = random.Random(16)
+        refuted = 0
+        for _ in range(250):
+            spec = random_spec(rng)
+            names = list(spec.sys)
+            rng.shuffle(names)
+            cut = rng.randint(0, len(names))
+            q = dependence_query(spec.formula, names[:cut], names[cut:])
+            for z in rng.choices(spec.sys, k=rng.randint(0, 3)):    # repeats lock twice
+                q = lock_conjunct(q, z)
+            if to_nnf(q) is not FALSE:
+                continue
+            refuted += 1
+            assert not ltl_sat(Or(q, FALSE)).is_sat, print_formula(q)
+            for shape in [(0, 1), (1, 1), (0, 2), (1, 2), (2, 1)]:
+                if len(atoms(q)) * sum(shape) <= 16:    # at most 2^16 candidate lassos
+                    assert not bounded_sat(q, *shape).is_sat, (shape, print_formula(q))
+        assert refuted >= 200
+
+    @pytest.mark.parametrize("text", ["G(a' <-> a') & a' & !a", "G(a' <-> a) & a' & !a"],
+                             ids=["both-primed", "primed-left"])
+    def test_only_unprimed_left_locks(self, text):
+        """Neither conjunct is a lock, so no ``a'`` reads as ``a``; the
+        tableau decides the query."""
+        f = parse_formula(text)
+        assert to_nnf(f) is not FALSE
+        assert ltl_sat(f).is_sat == (text == "G(a' <-> a') & a' & !a")
+
+    def test_locked_prime_reads_as_unprimed(self):
+        assert to_nnf(parse_formula("a' & G(a <-> a') & !a")) is FALSE
+
+    def test_always_distributes_over_and(self):
+        assert to_nnf(parse_formula("G(a & b) & !G a")) is FALSE
+
+    @pytest.mark.parametrize("text", ["G a & !G(a & b)", "G(a | b) & !G a"])
+    def test_missing_conjunct_is_not_refuted(self, text):
+        """``G`` distributes over ``&`` only, and g's every conjunct must be there."""
+        f = parse_formula(text)
+        assert to_nnf(f) is not FALSE
+        res = ltl_sat(f)
+        assert res.is_sat
+        assert eval_formula(res.witness, f, 0)
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_responses_split_into_singletons(self, n):
+        """Each ``resp_n`` query holds every conjunct of phi next to !phi, so
+        it is decided under the default cap, and so is the minimality audit."""
+        spec = _resp(n)
+        result = partition(spec)
+        assert result.block_sets() == {frozenset([a]) for a in spec.sys}
+        assert result.query_count == n - 1
+        assert verify_partition(spec, result, minimality=True).ok
 
 
 def _guards(gba):
@@ -202,17 +275,18 @@ class TestBuildGba:
 
 # SHA-256, per spec, of every automaton ``partition`` builds for it, as
 # recorded when the automaton moved to transitions over next-obligation
-# classes.
+# classes, and re-recorded when ``to_nnf`` began to give ``FALSE`` (one class,
+# no transition) for a query whose conjuncts hold some !g next to all of g's.
 AUTOMATON_DIGESTS = {
-    "chain3": "7db7f8ca3df957474f7b03fda03e86fb79d95dd2c6fbad891819892e50e97719",
-    "corpus": "1b185b1fa1b0ad1d6708008782ebdd5564a7a32aa6c5b34e9592b6bb7ab91da0",
-    "intro": "67b4f107229240fa877faf62c7b57156c3933854eb84879a3407598c3ff5a22e",
-    "not_ind": "daef9b88dbb8bdbd59e50d39d9737d7ad9845aabb1e844dbbcab883c881d87ed",
+    "chain3": "57740d67419c4bf9f8072d3259f76af1ede2a52aa838d89aa5526ac22dca428b",
+    "corpus": "759d06e220af60991205350803e62d82e3ac5cfe2a7acc68287336865b6e79f1",
+    "intro": "bcb4bcd02ffc7f88c473069725c640ea230af530f1c7e221d906dc598721013b",
+    "not_ind": "31c591f2cde8f0c1fd1e073a1eb000f9618a5bfc30abbf914cbe297a697801e3",
     "pair": "fba36739179ef6b27677ca4922fe15c548f3fd11adb24e48d699b185b208da80",
-    "resp3": "09cdb2b019f41c0c30bcb9614a1b5d9b3a5d4517a992eabca3307e235bb691f9",
-    "surprise": "e38de0e49c581d18ac6b8a081f98ab43d3f022cd13e1a091e09665a33d646cfe",
+    "resp3": "efb91cb03adf3e39942e7f60195f35aa8ed255eda45cdc44f41273b9f65414ce",
+    "surprise": "21cd76a7ba0dd2f95009ed51257bbc793ca04796575a3f1301dfadb12346fc0b",
     "tail": "5f7be078c46dff20b09c4278ab2870f911346ac510b7926c49e51d9ba2143d8b",
-    "triple": "4dad834c35b0c912bec93f4ec40b3b75aa96dfc2da9e949df8d2fe5359c4f30a",
+    "triple": "33fbb182a20bbdaee6daa7edaf033b5aa1acfe00f6f63934f21712b80bae36e0",
 }
 
 
