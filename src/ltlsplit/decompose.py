@@ -56,7 +56,8 @@ def check_independent(phi: Formula, w, s, solver=None) -> tuple[bool, LassoTrace
     """
     solver = solver or InternalSolver()
     w = tuple(w)
-    rest = tuple(v for v in s if v not in set(w))
+    taken = set(w)
+    rest = tuple(v for v in s if v not in taken)
     result = solver.solve(dependence_query(phi, w, rest))
     return (not result.is_sat, result.witness)
 

@@ -1,7 +1,8 @@
 """LTL satisfiability with lasso witnesses.
 
-Pipeline: negation normal form (``FALSE`` for a query that conjoins some
-!g with every conjunct of g) -> transition-based generalized Buchi
+Pipeline: negation normal form, one children-first pass that builds each
+node in both polarities (``FALSE`` for a query that conjoins some !g with
+every conjunct of g) -> transition-based generalized Buchi
 automaton over next-obligation classes (tableau over closure subsets as
 rank bitmasks) -> SCC-based emptiness check -> accepting lasso read back
 as a trace.  A class is one distinct next-obligation set; its transitions
@@ -49,6 +50,7 @@ from .formula import (
     postorder,
     print_formula,
 )
+from .parser import SpecError, parse_formula
 from .traces import LassoTrace, eval_formula, format_trace, parse_trace
 
 DEFAULT_STATE_CAP = 200_000
@@ -84,29 +86,6 @@ UNSAT = SatResult()
 _DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 
 
-def _nnf_node(g: Formula, positive: bool, pos: dict, neg: dict) -> Formula:
-    """nnf(g) if ``positive`` else nnf(!g), from the children's entries in ``pos``/``neg``."""
-    cls = g.__class__
-    same, other = (pos, neg) if positive else (neg, pos)
-    if cls is Atom:
-        return g if positive else Not(g)
-    if cls in _DUAL:
-        return (cls if positive else _DUAL[cls])(same[g.left], same[g.right])
-    if cls is Not:
-        return other[g.arg]
-    if cls is Next:
-        return Next(same[g.arg])
-    if cls is Eventually or cls is Always:
-        if (cls is Eventually) == positive:
-            return Until(TRUE, same[g.arg])
-        return Release(FALSE, same[g.arg])
-    if cls is Implies:
-        return (Or if positive else And)(other[g.left], same[g.right])
-    if cls is Iff:
-        return Or(And(pos[g.left], same[g.right]), And(neg[g.left], other[g.right]))
-    return TRUE if (cls is TrueF) == positive else FALSE
-
-
 def _conjuncts(f: Formula) -> list[Formula]:
     """The top-level conjuncts of ``f``, with ``G`` distributed over ``&``."""
     out, stack = [], [f]
@@ -138,35 +117,46 @@ def _refuted(f: Formula) -> bool:
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
 
-    ``FALSE`` when ``_refuted(f)``.  Otherwise a pass over ``postorder(f)``,
-    parents first, marks which of nnf(g) and nnf(!g) the result reads for
-    each node g; a pass children first builds only those.  The unique table
-    hands back a node whose children are already in NNF.
+    ``FALSE`` when ``_refuted(f)``.  Otherwise one pass over ``postorder(f)``,
+    children first, maps each node g to the pair (nnf(g), nnf(!g)), built
+    from its children's pairs.  The unique table hands back a node whose
+    children are already in NNF.
     """
     if _refuted(f):
         return FALSE
-    nodes = postorder(f)
-    need = {f: 1}       # bit 1: nnf(g) is read, bit 2: nnf(!g) is read
-    for g in reversed(nodes):
-        m = need[g]
+    nnf: dict[Formula, tuple[Formula, Formula]] = {}
+    for g in postorder(f):
         cls = g.__class__
-        flip = (m & 1) << 1 | m >> 1
-        if cls is Not or cls is Next or cls is Eventually or cls is Always:
-            need[g.arg] = need.get(g.arg, 0) | (flip if cls is Not else m)
-        elif cls in _DUAL or cls is Implies or cls is Iff:
-            a, b = (3, 3) if cls is Iff else (flip, m) if cls is Implies else (m, m)
-            need[g.left] = need.get(g.left, 0) | a
-            need[g.right] = need.get(g.right, 0) | b
-        elif cls is not Atom and cls is not TrueF and cls is not FalseF:
+        if cls is Atom:
+            nnf[g] = g, Not(g)
+        elif cls is TrueF:
+            nnf[g] = TRUE, FALSE
+        elif cls is FalseF:
+            nnf[g] = FALSE, TRUE
+        elif cls is Not:
+            a, na = nnf[g.arg]
+            nnf[g] = na, a
+        elif cls is Next:
+            a, na = nnf[g.arg]
+            nnf[g] = Next(a), Next(na)
+        elif cls is Eventually:
+            a, na = nnf[g.arg]
+            nnf[g] = Until(TRUE, a), Release(FALSE, na)
+        elif cls is Always:
+            a, na = nnf[g.arg]
+            nnf[g] = Release(FALSE, a), Until(TRUE, na)
+        elif cls in _DUAL:
+            (a, na), (b, nb) = nnf[g.left], nnf[g.right]
+            nnf[g] = cls(a, b), _DUAL[cls](na, nb)
+        elif cls is Implies:
+            (a, na), (b, nb) = nnf[g.left], nnf[g.right]
+            nnf[g] = Or(na, b), And(a, nb)
+        elif cls is Iff:
+            (a, na), (b, nb) = nnf[g.left], nnf[g.right]
+            nnf[g] = Or(And(a, b), And(na, nb)), Or(And(a, nb), And(na, b))
+        else:
             raise TypeError(f"unknown formula node {g!r}")
-    pos: dict[Formula, Formula] = {}
-    neg: dict[Formula, Formula] = {}
-    for g in nodes:
-        if need[g] & 1:
-            pos[g] = _nnf_node(g, True, pos, neg)
-        if need[g] & 2:
-            neg[g] = _nnf_node(g, False, pos, neg)
-    return pos[f]
+    return nnf[f][0]
 
 
 @dataclass
@@ -582,8 +572,6 @@ def serve_stdin_queries(stdin, stdout, state_cap: int = DEFAULT_STATE_CAP) -> No
     that does not parse or a witness that fails its self-check ``ERROR``,
     each plus one message line; serving goes on with the next line.
     """
-    from .parser import SpecError, parse_formula
-
     for line in stdin:
         line = line.strip()
         if not line:

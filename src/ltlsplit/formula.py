@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Iterable
+from collections.abc import Iterable
 
 
 class Formula:

@@ -13,6 +13,7 @@ import pytest
 
 from ltlsplit import (
     FALSE,
+    TRUE,
     And,
     Atom,
     EngineLimitError,
@@ -40,13 +41,19 @@ from ltlsplit import (
 )
 from ltlsplit import engine
 from ltlsplit.engine import serve_stdin_queries
-from ltlsplit.formula import Until, postorder
+from ltlsplit.formula import Until, map_atoms, postorder
 from brute import bounded_sat
-from helpers import FIXTURES, fixture_spec, lasso, random_spec, small_formula
+from helpers import FIXTURES, fixture_spec, lasso, random_formula, random_spec, small_formula
 
 INTRO_PHI = parse_formula(
     "G((p -> X(v & !t)) & (!p -> X(!v & t)) & "
     "(v -> X(!w & z)) & (!v -> X(w & !z)))")
+
+
+# SHA-256 of ``print_formula(to_nnf(f))``, one line per formula, over the
+# formulas of ``TestNnf.test_output_is_pinned``; recorded at commit a8aa851,
+# before ``to_nnf`` became one pass, and kept by it.
+NNF_DIGEST = "fa3f571cd846edc1dacb617bdf081708e72d47d309d67be663eb24d529bf6c5f"
 
 
 class TestNnf:
@@ -85,6 +92,23 @@ class TestNnf:
             g = to_nnf(f)
             for tau in traces:
                 assert eval_formula(tau, f, 0) == eval_formula(tau, g, 0)
+
+    def test_output_is_pinned(self):
+        """``to_nnf`` gives the same formula it always has, over 3,000 seeded
+        draws (atoms ``t`` and ``f`` read as ``true`` and ``false``) and every
+        partition query of the fixtures and ``chain3``."""
+        rng = random.Random(17)
+        constants = {"t": TRUE, "f": FALSE}
+        formulas = [map_atoms(random_formula(rng, ["p", "q", "a", "b", "t", "f"],
+                                             rng.randint(1, 6)),
+                              lambda a: constants.get(a.base, a))
+                    for _ in range(3000)]
+        for spec in [*map(fixture_spec, sorted(FIXTURES)), *_pinned_specs("chain3")]:
+            formulas += [q.formula for q in partition(spec).query_log]
+        digest = hashlib.sha256()
+        for f in formulas:
+            digest.update(f"{print_formula(to_nnf(f))}\n".encode())
+        assert digest.hexdigest() == NNF_DIGEST
 
 
 def _resp(n):
