@@ -8,10 +8,12 @@ rank bitmasks) -> SCC-based emptiness check -> accepting lasso read back
 as a trace.  A class is one distinct next-obligation set; its transitions
 are the tableau's (old, next) expansions of the set.  Classes are found
 only from class 0, the root obligation, along transitions, so every class
-is reachable and emptiness needs no separate reachability pass.  The
+is reachable and emptiness needs no separate reachability pass.  A class
+is expanded on demand, when the emptiness walk or a lasso search first
+reaches it, and exploration stops at the first accepting SCC.  The
 tableau never builds a side of a split whose must-hold literals clash
 (``FALSE``, or an atom and its negation), as no leaf of it lives.  The
-state cap counts distinct (old, next) pairs.  Every Sat answer is
+state cap counts the tableau sides expanded per query.  Every Sat answer is
 self-checked against the queried formula before it is returned; a failure
 here is an engine bug, never a caller error.
 """
@@ -161,36 +163,129 @@ def to_nnf(f: Formula) -> Formula:
 
 @dataclass
 class GbaClass:
-    """One class; ``succ`` holds its transitions ``(guard, acc, target)`` in ``cover`` order."""
+    """One explored class; ``succ`` holds its transitions ``(guard, acc, target)`` in ``cover`` order."""
 
     succ: list[tuple[int, int, int]]
 
 
-@dataclass
 class Gba:
-    """Transition-based generalized Buchi automaton over next-obligation classes.
+    """Transition-based generalized Buchi automaton over next-obligation classes,
+    explored on demand.
 
     A class is one distinct next-obligation set, numbered in discovery
-    order; class 0 holds the root obligation.  Each tableau expansion
-    (old, next) of a class is one transition ``(guard, acc, target)``: the
-    literal bits of ``old`` (``literals`` decodes them), acceptance bit j
-    set iff the j-th Until by rank is not in ``old`` or its right side is,
-    and the class of ``next``.  A run from class 0 reads, at step i, a
-    letter where the ``Atom`` literals of its transition's guard hold and
-    the ``Not`` literals fail; it accepts iff every bit of ``full`` recurs
-    infinitely often.  Every class is reachable from class 0.  ``pairs``
-    counts the distinct (old, next) expansions, which the state cap bounds;
-    each is one transition tuple, shared by every class that has it.
+    order; class 0 holds the root obligation.  ``succ(v)`` expands class v
+    the first time it is asked for: each tableau expansion (old, next) of
+    the class is one transition ``(guard, acc, target)``, the literal bits
+    of ``old`` (``literals`` decodes them), acceptance bit j set iff the
+    j-th Until by rank is not in ``old`` or its right side is, and the
+    class of ``next``.  A run from class 0 reads, at step i, a letter where
+    the ``Atom`` literals of its transition's guard hold and the ``Not``
+    literals fail; it accepts iff every bit of ``full`` recurs infinitely
+    often.  Every class is reachable from class 0.  ``masks`` holds every
+    class found so far, ``states`` the explored ones in the order they were
+    expanded, and ``pairs`` each distinct (old, next) expansion met so far
+    with its transition, shared by every class that has it.  ``sides``
+    counts the ``cover`` sides expanded; ``EngineLimitError`` is raised
+    once it would pass ``state_cap``, even inside one expansion.
     """
 
-    states: list[GbaClass]
-    nodes: list[Formula]    # the NNF subformulas by rank: guard bit i is nodes[i]
-    full: int
-    pairs: int
+    def __init__(self, nodes: list[Formula], tables: tuple, state_cap: int):
+        self.nodes = nodes      # the NNF subformulas by rank: guard bit i is nodes[i]
+        self.tables = tables    # build_gba's numbering: kind, left, right, must, bad, literals, untils
+        self.full = (1 << len(tables[6])) - 1
+        self.state_cap = state_cap
+        self.masks = [1 << len(nodes) - 1]      # class -> next-obligation set
+        self.class_of = {self.masks[0]: 0}      # next-obligation set -> class
+        self.explored: list[list | None] = [None]   # class -> its transitions, once expanded
+        self.states: list[GbaClass] = []
+        self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self.sides = 0
 
     def literals(self, guard: int) -> list[Formula]:
         """The ``Atom`` and ``Not`` nodes of a guard, by rank."""
         return [self.nodes[i] for i in _ids(guard)]
+
+    def succ(self, v: int) -> list[tuple[int, int, int]]:
+        """The transitions of class v, in ``cover`` order; expands v on the first call."""
+        out = self.explored[v]
+        if out is None:
+            out = []
+            *_, literals, untils = self.tables
+            for key in self.cover(self.masks[v]):
+                t = self.pairs.get(key)
+                if t is None:   # guard and acceptance bits once per distinct pair
+                    old, nxt = key
+                    target = self.class_of.setdefault(nxt, len(self.masks))
+                    if target == len(self.masks):
+                        self.masks.append(nxt)
+                        self.explored.append(None)
+                    acc = 0
+                    for j, (until, fulfilled) in enumerate(untils):
+                        if not old & until or old & fulfilled:
+                            acc |= 1 << j
+                    t = self.pairs[key] = (old & literals, acc, target)
+                out.append(t)
+            self.explored[v] = out
+            self.states.append(GbaClass(out))
+        return out
+
+    def cover(self, obligations: int) -> dict[tuple[int, int], None]:
+        """All distinct (old, next) expansions of the obligation set, in order.
+
+        A pending side is (new, old, next, need, forbid): an id stack, and
+        bitmasks where ``need`` ORs the ``must`` and ``forbid`` the ``bad`` of
+        every obligation pushed.  Every leaf of the side holds ``need``, so a
+        side whose ``need`` meets ``forbid`` has no leaf that lives and is not
+        built.  The live sides keep their depth-first order, so results do too.
+        Each side taken off the stack counts toward ``state_cap``.
+        """
+        kind, left, right, must, bad, *_ = self.tables
+        sides, cap = self.sides, self.state_cap
+        results: dict[tuple[int, int], None] = {}
+        new = _ids(obligations)
+        need = forbid = 0
+        for g in new:
+            need, forbid = need | must[g], forbid | bad[g]
+        pending = [] if need & forbid else [(new, 0, 0, need, forbid)]
+        while pending:
+            sides += 1
+            if sides > cap:
+                raise EngineLimitError(f"tableau exceeded the state cap of {cap}")
+            new, old, nxt, need, forbid = pending.pop()
+            while new:
+                g = new.pop()
+                bit = 1 << g
+                k = kind[g]
+                if old & bit or k is TrueF:
+                    continue
+                old |= bit
+                if k is And:
+                    new.append(left[g])
+                    new.append(right[g])
+                elif k is Next:
+                    nxt |= 1 << left[g]
+                elif k is Release:  # a R b == b & (a | X(a R b)); b is in need
+                    a, b = left[g], right[g]
+                    side_need, side_forbid = need | must[a], forbid | bad[a]
+                    if not side_need & side_forbid:
+                        pending.append((new + [a, b], old, nxt, side_need, side_forbid))
+                    new.append(b)
+                    nxt |= bit
+                elif k is Or or k is Until:  # a | b, and a U b == b | (a & X(a U b))
+                    a, b = left[g], right[g]
+                    side_need, side_forbid = need | must[b], forbid | bad[b]
+                    if not side_need & side_forbid:
+                        pending.append((new + [b], old, nxt, side_need, side_forbid))
+                    need, forbid = need | must[a], forbid | bad[a]
+                    if need & forbid:
+                        break
+                    new.append(a)
+                    if k is Until:
+                        nxt |= bit
+            else:
+                results[old, nxt] = None
+        self.sides = sides
+        return results
 
 
 def _ids(mask: int) -> list[int]:
@@ -204,7 +299,8 @@ def _ids(mask: int) -> list[int]:
 
 
 def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
-    """Tableau construction; ``f`` must be in negation normal form.
+    """The automaton of ``f``, which must be in negation normal form, with no
+    class expanded yet; ``Gba.succ`` runs the tableau on a class when asked.
 
     Subformulas are numbered by their rank in ``postorder(f)`` (the atom
     under a negative literal just before it), and obligation sets are int
@@ -214,10 +310,8 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
     bit, as is ``FALSE``'s, which is also its ``bad``; ``&`` takes the union,
     ``R`` its right side's, ``|`` and ``U`` the intersection, or the other
     side's when one side is dead (``must & bad`` nonzero).  ``cover`` never
-    builds a dead side, which leaves the automaton unchanged.  Each class is
-    expanded once.  Raises ``EngineLimitError`` once more than ``state_cap``
-    distinct (old, next) pairs would be registered, already while one
-    expansion alone yields more, and ``ValueError`` on a formula outside NNF.
+    builds a dead side, which leaves the automaton unchanged.  Raises
+    ``ValueError`` on a formula outside NNF.
     """
     nodes = postorder(f)
     rank = {g: i for i, g in enumerate(nodes)}
@@ -251,127 +345,41 @@ def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
             must[i] = bad[i] = 1 << i
         elif k is not TrueF:
             raise ValueError(f"unexpected node in NNF formula: {g!r}")
-
-    too_many = f"tableau exceeded the state cap of {state_cap}"
-
-    def cover(obligations: int) -> dict[tuple[int, int], None]:
-        """All distinct (old, next) expansions of the obligation set, in order.
-
-        A pending side is (new, old, next, need, forbid): an id stack, and
-        bitmasks where ``need`` ORs the ``must`` and ``forbid`` the ``bad`` of
-        every obligation pushed.  Every leaf of the side holds ``need``, so a
-        side whose ``need`` meets ``forbid`` has no leaf that lives and is not
-        built.  The live sides keep their depth-first order, so results do too.
-        """
-        results: dict[tuple[int, int], None] = {}
-        new = _ids(obligations)
-        need = forbid = 0
-        for g in new:
-            need, forbid = need | must[g], forbid | bad[g]
-        pending = [] if need & forbid else [(new, 0, 0, need, forbid)]
-        while pending:
-            new, old, nxt, need, forbid = pending.pop()
-            while new:
-                g = new.pop()
-                bit = 1 << g
-                k = kind[g]
-                if old & bit or k is TrueF:
-                    continue
-                old |= bit
-                if k is And:
-                    new.append(left[g])
-                    new.append(right[g])
-                elif k is Next:
-                    nxt |= 1 << left[g]
-                elif k is Release:  # a R b == b & (a | X(a R b)); b is in need
-                    a, b = left[g], right[g]
-                    side_need, side_forbid = need | must[a], forbid | bad[a]
-                    if not side_need & side_forbid:
-                        pending.append((new + [a, b], old, nxt, side_need, side_forbid))
-                    new.append(b)
-                    nxt |= bit
-                elif k is Or or k is Until:  # a | b, and a U b == b | (a & X(a U b))
-                    a, b = left[g], right[g]
-                    side_need, side_forbid = need | must[b], forbid | bad[b]
-                    if not side_need & side_forbid:
-                        pending.append((new + [b], old, nxt, side_need, side_forbid))
-                    need, forbid = need | must[a], forbid | bad[a]
-                    if need & forbid:
-                        break
-                    new.append(a)
-                    if k is Until:
-                        nxt |= bit
-            else:
-                key = (old, nxt)
-                if key not in results:
-                    results[key] = None
-                    if len(results) > state_cap:    # each result is a distinct pair
-                        raise EngineLimitError(too_many)
-        return results
-
-    root = 1 << len(nodes) - 1
-    class_of = {root: 0}            # next-obligation set -> class
-    masks = [root]                  # class -> next-obligation set
-    pair_id: dict[tuple[int, int], int] = {}   # (old, next) -> id; the cap counts these
-    targets: list[int] = []         # pair id -> class of its next
-    expansions: list[list[int]] = []    # class -> the ids of its cover results, in order
-    while len(expansions) < len(masks):
-        ids = []
-        for key in cover(masks[len(expansions)]):
-            i = pair_id.get(key)
-            if i is None:
-                if len(targets) >= state_cap:
-                    raise EngineLimitError(too_many)
-                target = class_of.setdefault(key[1], len(masks))
-                if target == len(masks):
-                    masks.append(key[1])
-                i = pair_id[key] = len(targets)
-                targets.append(target)
-            ids.append(i)
-        expansions.append(ids)
-
-    # Guards and acceptance bits once per distinct pair, after the cap has held.
     untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind) if k is Until]
-    transitions = []
-    for (old, _), target in zip(pair_id, targets):
-        acc = 0
-        for j, (until, fulfilled) in enumerate(untils):
-            if not old & until or old & fulfilled:
-                acc |= 1 << j
-        transitions.append((old & literals, acc, target))
-    states = [GbaClass([transitions[i] for i in ids]) for ids in expansions]
-    return Gba(states, nodes, (1 << len(untils)) - 1, len(transitions))
+    return Gba(nodes, (kind, left, right, must, bad, literals, untils), state_cap)
+
+
+_OFF_STACK = float("inf")   # above every Tarjan index
 
 
 def _sccs(gba: Gba) -> Iterator[list[int]]:
-    """Tarjan's algorithm, iterative, over the classes from class 0; each SCC as it closes."""
-    n = len(gba.states)
-    index = [-1] * n
-    low = [0] * n
+    """Tarjan's algorithm, iterative, over the classes from class 0, each
+    expanded when the walk first reaches it; each SCC as it closes."""
+    index: dict[int, float] = {}
+    low: dict[int, float] = {}
     stack: list[int] = []
-    counter = 0
     work = [(0, None)]
     while work:
         v, succ = work[-1]
         if succ is None:            # first visit: number v, then walk its transitions
-            index[v] = low[v] = counter
-            counter += 1
+            index[v] = low[v] = len(index)
             stack.append(v)
-            succ = iter(gba.states[v].succ)
+            succ = iter(gba.succ(v))
             work[-1] = v, succ
         for _, _, w in succ:
-            if index[w] < 0:
+            i = index.get(w)
+            if i is None:
                 work.append((w, None))
                 break
-            if index[w] < low[v]:
-                low[v] = index[w]
+            if i < low[v]:
+                low[v] = i
         else:
             work.pop()
             if low[v] == index[v]:
                 comp = []
                 while True:
                     w = stack.pop()
-                    index[w] = n    # off the stack: transitions to w no longer lower low
+                    index[w] = _OFF_STACK   # transitions to w no longer lower low
                     comp.append(w)
                     if w == v:
                         break
@@ -384,15 +392,16 @@ def _sccs(gba: Gba) -> Iterator[list[int]]:
 
 def _bfs(gba: Gba, start: int, inside, goal) -> list[tuple[int, int, int]]:
     """A shortest path of one or more transitions from class ``start`` to one that
-    meets ``goal``, every transition ending in ``inside``; ties go by ``succ`` order."""
+    meets ``goal``, every transition ending in ``inside`` (anywhere if None); ties
+    go by ``succ`` order."""
     parent: dict[int, tuple | None] = {start: None}     # class -> (class, transition) into it
     frontier = [start]
     while frontier:
         reached = []
         for v in frontier:
-            for t in gba.states[v].succ:
+            for t in gba.succ(v):
                 w = t[2]
-                if w not in inside:
+                if inside is not None and w not in inside:
                     continue
                 if goal(t):
                     path = [t]
@@ -414,17 +423,20 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
 
     Otherwise returns a lasso read off the guards of a path from class 0
     into the first such SCC and of a cycle there through every acceptance
-    bit; atoms a guard leaves free are false.
+    bit; atoms a guard leaves free are false.  The walk stops at that SCC,
+    and a class is expanded only when the walk or a lasso search reaches
+    it, so classes past the SCC are never built.  Raises
+    ``EngineLimitError`` once the expansions pass the state cap.
     """
     for comp in _sccs(gba):
         inside = set(comp)
-        marks = [acc for v in comp for _, acc, w in gba.states[v].succ if w in inside]
+        marks = [acc for v in comp for _, acc, w in gba.succ(v) if w in inside]
         if marks and reduce(or_, marks) == gba.full:
             break
     else:
         return UNSAT
 
-    prefix = [] if 0 in inside else _bfs(gba, 0, range(len(gba.states)), lambda t: t[2] in inside)
+    prefix = [] if 0 in inside else _bfs(gba, 0, None, lambda t: t[2] in inside)
     start = cur = prefix[-1][2] if prefix else 0
     cycle: list[tuple[int, int, int]] = []
     missing = gba.full

@@ -202,17 +202,17 @@ class TestMain:
                                "tableau exceeded the state cap of 2\n")
 
     def test_audit_budget_exhaustion(self, tmp_path):
-        # Draw 95 of the seeded corpus (seed 20240817).  Its partition fits
-        # in a cap of 741 states but its audits need 797, so at 770 the cap
-        # runs out inside the minimality audit: an engine limit, not a
-        # failed audit.
-        path = write_spec(tmp_path, "d95.spec",
-                          "env: p0\nsys: a0 a1 a2\nformula: (((a1 & ((a0 & p0) R a0))"
-                          " -> (p0 U (a1 U X a2))) -> (a2 -> p0))\n")
-        proc = run_cli(path, "--state-cap", "770", "--verify", "--audit-minimality")
+        # Draw 92 of the seeded corpus (seed 20240817).  Its largest partition
+        # query expands 760 tableau sides, but the minimality audit's query
+        # for {a1} needs 972, so at 860 the cap runs out inside the audit:
+        # an engine limit, not a failed audit.
+        path = write_spec(tmp_path, "d92.spec",
+                          "env: p0\nsys: a0 a1\nformula: (a1 U (a0 | ((F a0 & (a0 | p0)) & G p0)))\n")
+        proc = run_cli(path, "--state-cap", "860", "--verify", "--audit-minimality")
         assert proc.returncode == EXIT_ENGINE
-        assert proc.stderr == "error: tableau exceeded the state cap of 770\n"
+        assert proc.stderr == "error: tableau exceeded the state cap of 860\n"
         assert "FAIL" not in proc.stdout
+        assert run_cli(path, "--state-cap", "972", "--verify", "--audit-minimality").returncode == EXIT_OK
 
     @pytest.mark.parametrize("serve_args, code", [("", EXIT_OK), (", state_cap=2", EXIT_ENGINE)],
                              ids=["ok", "limit"])

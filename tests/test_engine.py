@@ -29,6 +29,7 @@ from ltlsplit import (
     dependence_query,
     eval_formula,
     find_accepting_lasso,
+    format_trace,
     lock_conjunct,
     ltl_sat,
     make_spec,
@@ -180,9 +181,18 @@ class TestRefutation:
         assert verify_partition(spec, result, minimality=True).ok
 
 
+def _explored(gba):
+    """``gba``, fresh from ``build_gba``, with every class expanded in index
+    order: the classes get the numbering of a build that expands each class
+    in turn, and ``gba.states[v]`` is class v."""
+    while len(gba.states) < len(gba.masks):
+        gba.succ(len(gba.states))
+    return gba
+
+
 def _guards(gba):
     """The (true atoms, false atoms) of every transition's guard."""
-    for cls in gba.states:
+    for cls in _explored(gba).states:
         for guard, _, _ in cls.succ:
             lits = gba.literals(guard)
             yield ({g for g in lits if isinstance(g, Atom)},
@@ -191,30 +201,31 @@ def _guards(gba):
 
 class TestBuildGba:
     """A state of the automaton is a class, one distinct next-obligation set;
-    its transitions are the tableau's (old, next) expansions of the set."""
+    its transitions are the tableau's (old, next) expansions of the set.
+    ``build_gba`` expands no class; these tests expand all of them."""
 
     def test_requires_nnf(self):
         with pytest.raises(ValueError):
             build_gba(parse_formula("!(a & b)"))
 
     def test_always_a_single_looping_state(self):
-        gba = build_gba(to_nnf(parse_formula("G a")))
+        gba = _explored(build_gba(to_nnf(parse_formula("G a"))))
         assert len(gba.states) == 1
         [(guard, acc, target)] = gba.states[0].succ
         assert gba.literals(guard) == [parse_formula("a")]
-        assert (acc, target, gba.full, gba.pairs) == (0, 0, 0, 1)
+        assert (acc, target, gba.full, len(gba.pairs)) == (0, 0, 0, 1)
 
     def test_eventually_marks_the_fulfilling_transition(self):
         """``F a``: waiting loops on class 0 unmarked; reading ``a`` is marked."""
-        gba = build_gba(to_nnf(parse_formula("F a")))
+        gba = _explored(build_gba(to_nnf(parse_formula("F a"))))
         assert gba.full == 1
         assert [[(gba.literals(g), acc, w) for g, acc, w in cls.succ] for cls in gba.states] == [
             [([], 0, 0), ([parse_formula("a")], 1, 1)], [([], 1, 1)]]
 
     def test_contradiction_has_no_states(self):
-        gba = build_gba(to_nnf(parse_formula("a & !a")))
+        gba = _explored(build_gba(to_nnf(parse_formula("a & !a"))))
         assert [cls.succ for cls in gba.states] == [[]]
-        assert gba.pairs == 0
+        assert (len(gba.pairs), gba.sides) == (0, 0)
 
     def test_guards_consistent(self):
         gba = build_gba(to_nnf(parse_formula("(a U !b) & (b R (a | c))")))
@@ -229,39 +240,54 @@ class TestBuildGba:
         assert gba.full == 0b11
 
     def test_state_cap(self):
-        with pytest.raises(EngineLimitError):
-            build_gba(to_nnf(parse_formula("a | b")), state_cap=1)
+        """``a | b`` takes three tableau sides: two for the split of class 0 and
+        one for the empty class both lead to."""
+        f = to_nnf(parse_formula("a | b"))
+        for cap in (1, 2):
+            with pytest.raises(EngineLimitError, match=f"state cap of {cap}$"):
+                find_accepting_lasso(build_gba(f, state_cap=cap))
+        assert find_accepting_lasso(build_gba(f, state_cap=3)).is_sat
 
     def test_state_cap_stops_an_expansion_that_cannot_fit(self):
         """The 2**18 expansions of this chain's root are not all made under cap 5.
 
         Making all of them before the first pair is refused took about
-        5 s; one expansion that has produced more pairs than the cap stops.
+        5 s; the cap counts tableau sides, so the sixth side stops the
+        expansion.
         """
         f = parse_formula(" & ".join(f"(a{i} | b{i})" for i in range(18)))
         start = time.perf_counter()
         with pytest.raises(EngineLimitError, match="state cap of 5$"):
-            build_gba(to_nnf(f), state_cap=5)
+            find_accepting_lasso(build_gba(to_nnf(f), state_cap=5))
         assert time.perf_counter() - start < 1.0
 
     def test_state_cap_is_exact(self):
-        """An automaton of n distinct (old, next) pairs builds under cap n and
-        is refused under n - 1; each pair is one shared transition."""
+        """A query whose exploration expands n tableau sides is decided under
+        cap n, with the same answer, and refused under n - 1; so is the
+        expansion of its whole automaton, where each distinct (old, next)
+        pair is one transition shared by every class that has it."""
         rng = random.Random(12)
         for _ in range(50):
             f = to_nnf(small_formula(rng, ["p", "q", "r"], 6))
             gba = build_gba(f)
-            n = gba.pairs
-            assert n == len({id(t) for cls in gba.states for t in cls.succ})
-            assert build_gba(f, state_cap=n).pairs == n
+            result = find_accepting_lasso(gba)
+            n = gba.sides
+            assert find_accepting_lasso(build_gba(f, state_cap=n)) == result
+            full = _explored(build_gba(f))
+            m = full.sides
+            assert len(full.pairs) == len({id(t) for cls in full.states for t in cls.succ})
+            assert _explored(build_gba(f, state_cap=m)).pairs == full.pairs
+            assert n <= m
             if n:
                 with pytest.raises(EngineLimitError):
-                    build_gba(f, state_cap=n - 1)
+                    find_accepting_lasso(build_gba(f, state_cap=n - 1))
+                with pytest.raises(EngineLimitError):
+                    _explored(build_gba(f, state_cap=m - 1))
 
     def test_every_state_reachable_from_initial(self):
         rng = random.Random(11)
         for _ in range(50):
-            gba = build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 6)))
+            gba = _explored(build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 6))))
             seen = {0}
             frontier = [0]
             while frontier:
@@ -287,15 +313,15 @@ class TestBuildGba:
             h = small_formula(rng, names, 4)
             x = Atom(rng.choice(names))
             for dead in (FALSE, And(x, Not(x)), And(Not(x), And(h, x))):
-                assert [cls.succ for cls in build_gba(to_nnf(And(g, dead))).states] == [[]]
-                gba = build_gba(to_nnf(And(g, Next(dead))))
+                assert [cls.succ for cls in _explored(build_gba(to_nnf(And(g, dead)))).states] == [[]]
+                gba = _explored(build_gba(to_nnf(And(g, Next(dead)))))
                 assert all(cls.succ == [] for cls in gba.states[1:])
 
     def test_deterministic_construction(self):
         f = to_nnf(dependence_query(INTRO_PHI, ["w"], ["t", "v", "z"]))
-        g1, g2 = build_gba(f), build_gba(f)
+        g1, g2 = _explored(build_gba(f)), _explored(build_gba(f))
         assert [c.succ for c in g1.states] == [c.succ for c in g2.states]
-        assert (g1.nodes, g1.full, g1.pairs) == (g2.nodes, g2.full, g2.pairs)
+        assert (g1.nodes, g1.full, g1.pairs, g1.sides) == (g2.nodes, g2.full, g2.pairs, g2.sides)
 
 
 # SHA-256, per spec, of every automaton ``partition`` builds for it, as
@@ -322,11 +348,11 @@ class _DigestingSolver:
         self.digest = hashlib.sha256()
 
     def solve(self, f):
-        gba = build_gba(to_nnf(f))
+        gba = _explored(build_gba(to_nnf(f)))
         for cls in gba.states:
             self.digest.update(repr([([print_formula(g) for g in gba.literals(guard)], acc, w)
                                      for guard, acc, w in cls.succ]).encode())
-        self.digest.update(repr((gba.full, gba.pairs)).encode())
+        self.digest.update(repr((gba.full, len(gba.pairs))).encode())
         result = find_accepting_lasso(gba)
         assert not result.is_sat or eval_formula(result.witness, f, 0)
         return result
@@ -364,9 +390,10 @@ def _pinned_specs(name):
 def test_partition_automata_are_pinned(name):
     """The tableau of every partition query is the one it has always been.
 
-    Speed-ups of the tableau must keep every automaton identical: classes
-    in the same order, with the same transitions (guard, acceptance bits,
-    target) and the same number of distinct (old, next) pairs.  A change meant to alter automata (ROADMAP items
+    Speed-ups of the tableau must keep every automaton identical: with
+    every class expanded in index order, classes in the same order, with
+    the same transitions (guard, acceptance bits, target) and the same
+    number of distinct (old, next) pairs.  A change meant to alter automata (ROADMAP items
     3-5) updates these digests and names, in CHANGES.md, the witnesses that
     changed.
     """
@@ -393,11 +420,46 @@ def test_partition_query_logs_are_pinned():
 
 
 def test_corpus_draw_93_exceeds_the_corpus_cap():
-    """The one raw corpus draw that runs out of budget at 30,000 still does."""
+    """The one raw corpus draw that runs out of budget at 30,000 still does,
+    and soon: the cap counts tableau sides, about 0.1 s of work here, where
+    a cap on distinct (old, next) pairs let the on-demand walk run for
+    several times longer."""
     rng = random.Random(20240817)
     draw = [random_spec(rng) for _ in range(94)][93]
+    start = time.perf_counter()
     with pytest.raises(EngineLimitError, match="state cap of 30000$"):
         partition(draw, InternalSolver(30_000))
+    assert time.perf_counter() - start < 0.6
+
+
+def test_on_the_fly_answers_match_the_whole_automaton():
+    """Expanding classes only as the walk reaches them gives the verdict and
+    printed witness of the fully expanded automaton, over 500 seeded random
+    formulas and every partition query of the fixtures."""
+    rng = random.Random(18)
+    formulas = [random_formula(rng, ["p", "q", "r"], 4) for _ in range(500)]
+    formulas += [q.formula for name in sorted(FIXTURES)
+                 for q in partition(fixture_spec(name)).query_log]
+    fewer = 0
+    for f in formulas:
+        nnf = to_nnf(f)
+        lazy, full = build_gba(nnf), _explored(build_gba(nnf))
+        got, want = find_accepting_lasso(lazy), find_accepting_lasso(full)
+        assert got.is_sat == want.is_sat
+        assert not got.is_sat or format_trace(got.witness) == format_trace(want.witness)
+        fewer += len(lazy.states) < len(full.states)
+    assert fewer > 50
+
+
+def test_corpus_draw_51_explores_few_classes():
+    """Draw 51's second partition query is SAT within its first classes: the
+    walk expands 7 of the 173 classes of its whole automaton."""
+    rng = random.Random(20240817)
+    draw = [random_spec(rng) for _ in range(52)][51]
+    f = to_nnf(partition(draw).query_log[1].formula)
+    gba = build_gba(f)
+    assert find_accepting_lasso(gba).is_sat
+    assert (len(gba.states), len(_explored(build_gba(f)).states)) == (7, 173)
 
 
 class TestFindAcceptingLasso:
