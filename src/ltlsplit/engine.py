@@ -12,8 +12,10 @@ is reachable and emptiness needs no separate reachability pass.  A class
 is expanded on demand, when the emptiness walk or a lasso search first
 reaches it, and exploration stops at the first accepting SCC.  The
 tableau never builds a side of a split whose must-hold literals clash
-(``FALSE``, or an atom and its negation), as no leaf of it lives.  The
-state cap counts the tableau sides expanded per query.  Every Sat answer is
+(``FALSE``, or an atom and its negation), as no leaf of it lives, and
+never splits a node whose branch the side already holds (syntactic
+implication, Daniele, Giunchiglia & Vardi, CAV 1999).  The state cap
+counts the tableau sides expanded per query.  Every Sat answer is
 self-checked against the queried formula before it is returned; a failure
 here is an engine bug, never a caller error.
 """
@@ -236,8 +238,14 @@ class Gba:
         bitmasks where ``need`` ORs the ``must`` and ``forbid`` the ``bad`` of
         every obligation pushed.  Every leaf of the side holds ``need``, so a
         side whose ``need`` meets ``forbid`` has no leaf that lives and is not
-        built.  The live sides keep their depth-first order, so results do too.
-        Each side taken off the stack counts toward ``state_cap``.
+        built.  A branch is held when its node is in ``old`` or ``new``; the
+        ``must`` bits in ``need`` are not held, as a node's own are among them.
+        An ``Or`` with a held branch, or an ``Until`` with a held right side,
+        is not split, and a ``Release`` with a held left side is its right
+        side alone.  Each skip rests on a strict subformula that the side
+        asserts, so skips cannot justify each other in a loop.  The live sides
+        keep their depth-first order, so results do too.  Each side taken off
+        the stack counts toward ``state_cap``.
         """
         kind, left, right, must, bad, *_ = self.tables
         sides, cap = self.sides, self.state_cap
@@ -266,13 +274,16 @@ class Gba:
                     nxt |= 1 << left[g]
                 elif k is Release:  # a R b == b & (a | X(a R b)); b is in need
                     a, b = left[g], right[g]
-                    side_need, side_forbid = need | must[a], forbid | bad[a]
-                    if not side_need & side_forbid:
-                        pending.append((new + [a, b], old, nxt, side_need, side_forbid))
+                    if not (old >> a & 1 or a in new):  # a held: a R b is b here
+                        side_need, side_forbid = need | must[a], forbid | bad[a]
+                        if not side_need & side_forbid:
+                            pending.append((new + [a, b], old, nxt, side_need, side_forbid))
+                        nxt |= bit
                     new.append(b)
-                    nxt |= bit
                 elif k is Or or k is Until:  # a | b, and a U b == b | (a & X(a U b))
                     a, b = left[g], right[g]
+                    if old >> b & 1 or b in new or k is Or and (old >> a & 1 or a in new):
+                        continue    # a held branch: g holds with it, unsplit
                     side_need, side_forbid = need | must[b], forbid | bad[b]
                     if not side_need & side_forbid:
                         pending.append((new + [b], old, nxt, side_need, side_forbid))

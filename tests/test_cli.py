@@ -203,16 +203,16 @@ class TestMain:
 
     def test_audit_budget_exhaustion(self, tmp_path):
         # Draw 92 of the seeded corpus (seed 20240817).  Its largest partition
-        # query expands 760 tableau sides, but the minimality audit's query
-        # for {a1} needs 972, so at 860 the cap runs out inside the audit:
+        # query expands 408 tableau sides, but the minimality audit's query
+        # for {a1} needs 457, so at 430 the cap runs out inside the audit:
         # an engine limit, not a failed audit.
         path = write_spec(tmp_path, "d92.spec",
                           "env: p0\nsys: a0 a1\nformula: (a1 U (a0 | ((F a0 & (a0 | p0)) & G p0)))\n")
-        proc = run_cli(path, "--state-cap", "860", "--verify", "--audit-minimality")
+        proc = run_cli(path, "--state-cap", "430", "--verify", "--audit-minimality")
         assert proc.returncode == EXIT_ENGINE
-        assert proc.stderr == "error: tableau exceeded the state cap of 860\n"
+        assert proc.stderr == "error: tableau exceeded the state cap of 430\n"
         assert "FAIL" not in proc.stdout
-        assert run_cli(path, "--state-cap", "972", "--verify", "--audit-minimality").returncode == EXIT_OK
+        assert run_cli(path, "--state-cap", "457", "--verify", "--audit-minimality").returncode == EXIT_OK
 
     @pytest.mark.parametrize("serve_args, code", [("", EXIT_OK), (", state_cap=2", EXIT_ENGINE)],
                              ids=["ok", "limit"])
