@@ -62,14 +62,6 @@ def check_independent(phi: Formula, w, s, solver=None) -> tuple[bool, LassoTrace
     return (not result.is_sat, result.witness)
 
 
-def _disagreement(witness: LassoTrace, y) -> str:
-    """The first variable of ``y`` whose primed copy disagrees with it in a Sat witness."""
-    for z in y:
-        if compute_z(witness, (z,)):
-            return z
-    raise InvariantViolation("Sat witness produced an empty disagreement set")
-
-
 def _check_partition(blocks, sys_vars) -> None:
     """``ValueError`` unless every system variable lies in exactly one block."""
     counts = Counter(v for b in blocks for v in b.vars)
@@ -86,10 +78,10 @@ def partition(spec: Spec, solver=None) -> PartitionResult:
 
     The block ``w`` starts as the first variable left and ``y`` holds the
     rest.  While the dependence query of ``w`` against ``y`` has a model,
-    candidates from each witness's disagreement set are locked one at a
-    time until the locked query goes Unsat; the last locked variable moves
-    from ``y`` into ``w`` and the query is rebuilt from ``phi``.  A lone
-    last variable is independent and takes no solver call.
+    the witness's first disagreeing variable of ``y`` is locked, each lock
+    building on the latest query; at the first Unsat the last locked
+    variable moves into ``w`` and the query is rebuilt from ``phi``.  A
+    lone last variable is independent and takes no solver call.
     """
     solver = solver or InternalSolver()
     phi = spec.formula
@@ -107,21 +99,20 @@ def partition(spec: Spec, solver=None) -> PartitionResult:
     left = tuple(spec.sys)
     while left:
         w, y = left[:1], left[1:]
+        result = UNSAT
         if y:
             query = dependence_query(phi, w, y)
             result = solve(query)
-        else:
-            result = UNSAT
         while result.is_sat:
-            locked = query
-            while result.is_sat:
-                z = _disagreement(result.witness, y)
-                locked = lock_conjunct(locked, z)
-                result = solve(locked)
-            w = w + (z,)
-            y = tuple(v for v in y if v != z)
-            query = dependence_query(phi, w, y)
+            z = compute_z(result.witness, y)[:1]
+            if not z:
+                raise InvariantViolation("Sat witness produced an empty disagreement set")
+            query = lock_conjunct(query, *z)
             result = solve(query)
+            if not result.is_sat:   # the last variable locked joins w
+                w, y = w + z, tuple(v for v in y if v not in z)
+                query = dependence_query(phi, w, y)
+                result = solve(query)
         blocks.append(Block(w))
         left = y
     _check_partition(blocks, spec.sys)

@@ -5,10 +5,11 @@ node in both polarities (``FALSE`` for a query that conjoins some !g with
 every conjunct of g) -> transition-based generalized Buchi
 automaton over next-obligation classes (tableau over closure subsets as
 rank bitmasks) -> SCC-based emptiness check -> accepting lasso read back
-as a trace.  A class is one distinct next-obligation set; its transitions
-are the tableau's (old, next) expansions of the set.  Classes are found
-only from class 0, the root obligation, along transitions, so every class
-is reachable and emptiness needs no separate reachability pass.  A class
+as a trace.  A class is one distinct next-obligation set, named by its
+bitmask; its transitions are the tableau's (old, next) expansions of the
+set, each into the class ``next``.  Classes are found only from the root
+class, the root formula's set, along transitions, so every class is
+reachable and emptiness needs no separate reachability pass.  A class
 is expanded on demand, when the emptiness walk or a lasso search first
 reaches it, and exploration stops at the first accepting SCC.  The
 tableau never builds a side of a split whose must-hold literals clash
@@ -174,21 +175,22 @@ class Gba:
     """Transition-based generalized Buchi automaton over next-obligation classes,
     explored on demand.
 
-    A class is one distinct next-obligation set, numbered in discovery
-    order; class 0 holds the root obligation.  ``succ(v)`` expands class v
-    the first time it is asked for: each tableau expansion (old, next) of
-    the class is one transition ``(guard, acc, target)``, the literal bits
-    of ``old`` (``literals`` decodes them), acceptance bit j set iff the
-    j-th Until by rank is not in ``old`` or its right side is, and the
-    class of ``next``.  A run from class 0 reads, at step i, a letter where
-    the ``Atom`` literals of its transition's guard hold and the ``Not``
-    literals fail; it accepts iff every bit of ``full`` recurs infinitely
-    often.  Every class is reachable from class 0.  ``masks`` holds every
-    class found so far, ``states`` the explored ones in the order they were
-    expanded, and ``pairs`` each distinct (old, next) expansion met so far
-    with its transition, shared by every class that has it.  ``sides``
-    counts the ``cover`` sides expanded; ``EngineLimitError`` is raised
-    once it would pass ``state_cap``, even inside one expansion.
+    A class is one distinct next-obligation set, named by its bitmask;
+    ``root`` is the set of the root formula alone.  ``succ(v)`` expands
+    class v the first time it is asked for: each tableau expansion
+    (old, next) of the class is one transition ``(guard, acc, target)``,
+    the literal bits of ``old`` (``literals`` decodes them), acceptance bit
+    j set iff the j-th Until by rank is not in ``old`` or its right side
+    is, and ``next`` itself as the target class.  A run from ``root``
+    reads, at step i, a letter where the ``Atom`` literals of its
+    transition's guard hold and the ``Not`` literals fail; it accepts iff
+    every bit of ``full`` recurs infinitely often.  Every class is
+    reachable from ``root``.  ``explored`` maps each expanded class to its
+    transitions and ``states`` lists them, both in the order the classes
+    were expanded, and ``pairs`` holds each distinct (old, next) expansion
+    met so far with its transition, shared by every class that has it.
+    ``sides`` counts the ``cover`` sides expanded; ``EngineLimitError`` is
+    raised once it would pass ``state_cap``, even inside one expansion.
     """
 
     def __init__(self, nodes: list[Formula], tables: tuple, state_cap: int):
@@ -196,9 +198,8 @@ class Gba:
         self.tables = tables    # build_gba's numbering: kind, left, right, must, bad, literals, untils
         self.full = (1 << len(tables[6])) - 1
         self.state_cap = state_cap
-        self.masks = [1 << len(nodes) - 1]      # class -> next-obligation set
-        self.class_of = {self.masks[0]: 0}      # next-obligation set -> class
-        self.explored: list[list | None] = [None]   # class -> its transitions, once expanded
+        self.root = 1 << len(nodes) - 1         # the class of the root obligation
+        self.explored: dict[int, list] = {}     # class -> its transitions, once expanded
         self.states: list[GbaClass] = []
         self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.sides = 0
@@ -209,23 +210,19 @@ class Gba:
 
     def succ(self, v: int) -> list[tuple[int, int, int]]:
         """The transitions of class v, in ``cover`` order; expands v on the first call."""
-        out = self.explored[v]
+        out = self.explored.get(v)
         if out is None:
             out = []
             *_, literals, untils = self.tables
-            for key in self.cover(self.masks[v]):
+            for key in self.cover(v):
                 t = self.pairs.get(key)
                 if t is None:   # guard and acceptance bits once per distinct pair
                     old, nxt = key
-                    target = self.class_of.setdefault(nxt, len(self.masks))
-                    if target == len(self.masks):
-                        self.masks.append(nxt)
-                        self.explored.append(None)
                     acc = 0
                     for j, (until, fulfilled) in enumerate(untils):
                         if not old & until or old & fulfilled:
                             acc |= 1 << j
-                    t = self.pairs[key] = (old & literals, acc, target)
+                    t = self.pairs[key] = (old & literals, acc, nxt)
                 out.append(t)
             self.explored[v] = out
             self.states.append(GbaClass(out))
@@ -364,12 +361,12 @@ _OFF_STACK = float("inf")   # above every Tarjan index
 
 
 def _sccs(gba: Gba) -> Iterator[list[int]]:
-    """Tarjan's algorithm, iterative, over the classes from class 0, each
-    expanded when the walk first reaches it; each SCC as it closes."""
+    """Tarjan's algorithm, iterative, over the classes from the root class,
+    each expanded when the walk first reaches it; each SCC as it closes."""
     index: dict[int, float] = {}
     low: dict[int, float] = {}
     stack: list[int] = []
-    work = [(0, None)]
+    work = [(gba.root, None)]
     while work:
         v, succ = work[-1]
         if succ is None:            # first visit: number v, then walk its transitions
@@ -432,11 +429,11 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     """Unsat iff no SCC has an internal transition and internal transitions
     whose acceptance bits together are ``full``.
 
-    Otherwise returns a lasso read off the guards of a path from class 0
-    into the first such SCC and of a cycle there through every acceptance
-    bit; atoms a guard leaves free are false.  The walk stops at that SCC,
-    and a class is expanded only when the walk or a lasso search reaches
-    it, so classes past the SCC are never built.  Raises
+    Otherwise returns a lasso read off the guards of a path from the root
+    class into the first such SCC and of a cycle there through every
+    acceptance bit; atoms a guard leaves free are false.  The walk stops at
+    that SCC, and a class is expanded only when the walk or a lasso search
+    reaches it, so classes past the SCC are never built.  Raises
     ``EngineLimitError`` once the expansions pass the state cap.
     """
     for comp in _sccs(gba):
@@ -447,8 +444,8 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     else:
         return UNSAT
 
-    prefix = [] if 0 in inside else _bfs(gba, 0, None, lambda t: t[2] in inside)
-    start = cur = prefix[-1][2] if prefix else 0
+    prefix = [] if gba.root in inside else _bfs(gba, gba.root, None, lambda t: t[2] in inside)
+    start = cur = prefix[-1][2] if prefix else gba.root
     cycle: list[tuple[int, int, int]] = []
     missing = gba.full
     while missing:

@@ -160,6 +160,25 @@ class TestLookForDependentVariables:
                                 dependence_query(phi, ("b", "a"), ())]
         assert [r.verdict for r in result.query_log] == ["SAT", "UNSAT", "UNSAT"]
 
+    def test_locks_build_on_the_latest_query(self):
+        # {a} against {b,c}: b is locked, then c on top of it; that chain is
+        # Unsat, so c (the last lock) joins a.  The rebuilt {a,c} query
+        # locks b alone, b joins, and the query of {a,c,b} is Unsat
+        phi = parse_formula("G(p -> (a & b & c))")
+        spec = make_spec(["p"], ["a", "b", "c"], phi)
+        q0 = dependence_query(phi, ("a",), ("b", "c"))
+        q1 = dependence_query(phi, ("a", "c"), ("b",))
+        on_b = SatResult(lasso([], [state("b")]))
+        on_c = SatResult(lasso([], [state("c")]))
+        solver = ScriptedSolver([on_b, on_c, UNSAT, on_b, UNSAT, UNSAT])
+        result = partition(spec, solver)
+        assert result.blocks == [Block(("a", "c", "b"))]
+        assert solver.calls == [q0, lock_conjunct(q0, "b"),
+                                lock_conjunct(lock_conjunct(q0, "b"), "c"),
+                                q1, lock_conjunct(q1, "b"),
+                                dependence_query(phi, ("a", "c", "b"), ())]
+        assert solver.results == []
+
     def test_empty_z_after_lock_is_hard_fault(self):
         phi = parse_formula("G(p -> (a & b))")
         spec = make_spec(["p"], ["b", "a"], phi)

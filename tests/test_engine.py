@@ -184,11 +184,15 @@ class TestRefutation:
 
 
 def _explored(gba):
-    """``gba``, fresh from ``build_gba``, with every class expanded in index
-    order: the classes get the numbering of a build that expands each class
-    in turn, and ``gba.states[v]`` is class v."""
-    while len(gba.states) < len(gba.masks):
-        gba.succ(len(gba.states))
+    """``gba``, fresh from ``build_gba``, with every class expanded
+    breadth-first from ``gba.root`` in the order the classes are found, so
+    ``gba.explored`` and ``gba.states`` list the classes in that order."""
+    found, queue = {gba.root}, [gba.root]
+    for v in queue:
+        for _, _, w in gba.succ(v):
+            if w not in found:
+                found.add(w)
+                queue.append(w)
     return gba
 
 
@@ -212,17 +216,20 @@ class TestBuildGba:
 
     def test_always_a_single_looping_state(self):
         gba = _explored(build_gba(to_nnf(parse_formula("G a"))))
-        assert len(gba.states) == 1
-        [(guard, acc, target)] = gba.states[0].succ
+        assert list(gba.explored) == [gba.root]
+        [(guard, acc, target)] = gba.explored[gba.root]
         assert gba.literals(guard) == [parse_formula("a")]
-        assert (acc, target, gba.full, len(gba.pairs)) == (0, 0, 0, 1)
+        assert (acc, target, gba.full, len(gba.pairs)) == (0, gba.root, 0, 1)
 
     def test_eventually_marks_the_fulfilling_transition(self):
-        """``F a``: waiting loops on class 0 unmarked; reading ``a`` is marked."""
+        """``F a``: waiting loops on the root class unmarked; reading ``a`` is
+        marked and leads to the empty class, which loops marked."""
         gba = _explored(build_gba(to_nnf(parse_formula("F a"))))
         assert gba.full == 1
+        root, empty = gba.explored
+        assert (root, empty) == (gba.root, 0)
         assert [[(gba.literals(g), acc, w) for g, acc, w in cls.succ] for cls in gba.states] == [
-            [([], 0, 0), ([parse_formula("a")], 1, 1)], [([], 1, 1)]]
+            [([], 0, root), ([parse_formula("a")], 1, empty)], [([], 1, empty)]]
 
     def test_contradiction_has_no_states(self):
         gba = _explored(build_gba(to_nnf(parse_formula("a & !a"))))
@@ -235,7 +242,7 @@ class TestBuildGba:
         next to ``b`` and ``a | b`` next to ``a`` need no second side, and
         ``a R b`` next to ``a`` is ``b`` with no ``X``."""
         gba = build_gba(to_nnf(parse_formula(text)))
-        assert len(gba.succ(0)) == 1
+        assert len(gba.succ(gba.root)) == 1
         assert find_accepting_lasso(gba).is_sat
 
     def test_own_must_is_not_held(self):
@@ -259,8 +266,8 @@ class TestBuildGba:
         assert gba.full == 0b11
 
     def test_state_cap(self):
-        """``a | b`` takes three tableau sides: two for the split of class 0 and
-        one for the empty class both lead to."""
+        """``a | b`` takes three tableau sides: two for the split of the root
+        class and one for the empty class both lead to."""
         f = to_nnf(parse_formula("a | b"))
         for cap in (1, 2):
             with pytest.raises(EngineLimitError, match=f"state cap of {cap}$"):
@@ -307,15 +314,15 @@ class TestBuildGba:
         rng = random.Random(11)
         for _ in range(50):
             gba = _explored(build_gba(to_nnf(small_formula(rng, ["p", "q", "r"], 6))))
-            seen = {0}
-            frontier = [0]
+            seen = {gba.root}
+            frontier = [gba.root]
             while frontier:
                 v = frontier.pop()
-                for _, _, w in gba.states[v].succ:
+                for _, _, w in gba.explored[v]:
                     if w not in seen:
                         seen.add(w)
                         frontier.append(w)
-            assert seen == set(range(len(gba.states)))
+            assert seen == set(gba.explored)
 
     def test_no_state_guard_holds_an_atom_and_its_negation(self):
         rng = random.Random(13)
@@ -363,16 +370,18 @@ AUTOMATON_DIGESTS = {
 
 
 class _DigestingSolver:
-    """Answers each query from its automaton and hashes every class transition."""
+    """Answers each query from its automaton and hashes every class transition,
+    each target as its class's position in ``gba.explored``."""
 
     def __init__(self):
         self.digest = hashlib.sha256()
 
     def solve(self, f):
         gba = _explored(build_gba(to_nnf(f)))
+        position = {v: i for i, v in enumerate(gba.explored)}
         for cls in gba.states:
-            self.digest.update(repr([([print_formula(g) for g in gba.literals(guard)], acc, w)
-                                     for guard, acc, w in cls.succ]).encode())
+            self.digest.update(repr([([print_formula(g) for g in gba.literals(guard)], acc,
+                                      position[w]) for guard, acc, w in cls.succ]).encode())
         self.digest.update(repr((gba.full, len(gba.pairs))).encode())
         result = find_accepting_lasso(gba)
         assert not result.is_sat or eval_formula(result.witness, f, 0)
@@ -412,8 +421,9 @@ def test_partition_automata_are_pinned(name):
     """The tableau of every partition query is the one it has always been.
 
     Speed-ups of the tableau must keep every automaton identical: with
-    every class expanded in index order, classes in the same order, with
-    the same transitions (guard, acceptance bits, target) and the same
+    every class expanded breadth-first from the root, classes in the same
+    order, with the same transitions (guard, acceptance bits, target as a
+    position in that order) and the same
     number of distinct (old, next) pairs.  A change meant to alter automata (ROADMAP items
     3-5) updates these digests and names, in CHANGES.md, the witnesses that
     changed.
@@ -532,8 +542,8 @@ class TestFindAcceptingLasso:
 
 class TestLtlSat:
     def test_true_has_empty_model(self):
-        """Class 0 ({true}) steps to the empty class, which loops: one empty
-        letter into the cycle."""
+        """The root class ({true}) steps to the empty class, which loops: one
+        empty letter into the cycle."""
         res = ltl_sat(parse_formula("true"))
         assert res.is_sat
         assert res.witness == lasso([state()], [state()])
