@@ -2,23 +2,24 @@
 
 Pipeline: negation normal form, one children-first pass that builds each
 node in both polarities (``FALSE`` for a query that conjoins some !g with
-every conjunct of g) -> transition-based generalized Buchi
-automaton over next-obligation classes (tableau over closure subsets as
-rank bitmasks) -> SCC-based emptiness check -> accepting lasso read back
-as a trace.  A class is one distinct next-obligation set, named by its
-bitmask; its transitions are the tableau's (old, next) expansions of the
-set, each into the class ``next``.  Classes are found only from the root
-class, the root formula's set, along transitions, so every class is
-reachable and emptiness needs no separate reachability pass.  A class
-is expanded on demand, when the emptiness walk or a lasso search first
-reaches it, and exploration stops at the first accepting SCC.  The
-tableau never builds a side of a split whose must-hold literals clash
-(``FALSE``, or an atom and its negation), as no leaf of it lives, and
-never splits a node whose branch the side already holds (syntactic
-implication, Daniele, Giunchiglia & Vardi, CAV 1999).  The state cap
-counts the tableau sides expanded per query.  Every Sat answer is
-self-checked against the queried formula before it is returned; a failure
-here is an engine bug, never a caller error.
+every conjunct of g) -> transition-based generalized Buchi automaton over
+next-obligation classes (``Gba``, a tableau over closure subsets as rank
+bitmasks) -> SCC-based emptiness check -> accepting lasso read back as a
+trace.  A class is one distinct next-obligation set, named by its bitmask;
+its transitions are the tableau's (old, next) expansions of the set, each
+into the class ``next``.  Classes are found only from the root class, the
+root formula's set, along transitions, so every class is reachable and
+emptiness needs no separate reachability pass.  A class is expanded on
+demand, when the emptiness walk or a lasso search first reaches it, and
+exploration stops at the first accepting SCC; ``Gba.explored`` is the one
+record of the expanded classes.  The tableau never builds a side of a
+split whose must-hold literals clash (``FALSE``, or an atom and its
+negation), as no leaf of it lives, and never splits a node whose branch
+the side already holds (syntactic implication, Daniele, Giunchiglia &
+Vardi, CAV 1999).  The state cap counts the tableau sides expanded per
+query.  Every Sat answer is self-checked against the queried formula
+before it is returned; a failure here is an engine bug, never a caller
+error.
 """
 
 from __future__ import annotations
@@ -166,43 +167,93 @@ def to_nnf(f: Formula) -> Formula:
 
 @dataclass
 class GbaClass:
-    """One explored class; ``succ`` holds its transitions ``(guard, acc, target)`` in ``cover`` order."""
+    """One explored class as ``Gba.states`` shows it; ``succ`` holds its
+    transitions ``(guard, acc, target)`` in ``cover`` order."""
 
     succ: list[tuple[int, int, int]]
 
 
 class Gba:
-    """Transition-based generalized Buchi automaton over next-obligation classes,
-    explored on demand.
+    """Transition-based generalized Buchi automaton of ``f``, which must be in
+    negation normal form (``ValueError`` otherwise), over next-obligation
+    classes, each expanded only when first asked for.
+
+    Subformulas are numbered by their rank in ``postorder(f)`` (the atom
+    under a negative literal just before it): ``nodes[i]`` is guard bit i,
+    and obligation sets are int bitmasks over ranks.  ``kind``, ``left``
+    and ``right`` give each rank its node class and child ranks (-1 for
+    none), ``literal_bits`` the bits of the ``Atom`` and ``Not`` nodes, and
+    ``untils`` each Until's bit with its right side's.  ``must`` gives each
+    node the literal bits that every expansion of it puts into ``old``, and
+    ``bad`` the atoms negated there: a literal's ``must`` is its own bit, as
+    is ``FALSE``'s, which is also its ``bad``; ``&`` takes the union, ``R``
+    its right side's, ``|`` and ``U`` the intersection, or the other side's
+    when one side is dead (``must & bad`` nonzero).  ``cover`` never builds
+    a dead side, which leaves the automaton unchanged.
 
     A class is one distinct next-obligation set, named by its bitmask;
     ``root`` is the set of the root formula alone.  ``succ(v)`` expands
-    class v the first time it is asked for: each tableau expansion
-    (old, next) of the class is one transition ``(guard, acc, target)``,
-    the literal bits of ``old`` (``literals`` decodes them), acceptance bit
-    j set iff the j-th Until by rank is not in ``old`` or its right side
-    is, and ``next`` itself as the target class.  A run from ``root``
-    reads, at step i, a letter where the ``Atom`` literals of its
-    transition's guard hold and the ``Not`` literals fail; it accepts iff
-    every bit of ``full`` recurs infinitely often.  Every class is
-    reachable from ``root``.  ``explored`` maps each expanded class to its
-    transitions and ``states`` lists them, both in the order the classes
-    were expanded, and ``pairs`` holds each distinct (old, next) expansion
-    met so far with its transition, shared by every class that has it.
-    ``sides`` counts the ``cover`` sides expanded; ``EngineLimitError`` is
-    raised once it would pass ``state_cap``, even inside one expansion.
+    class v: each tableau expansion (old, next) of it is one transition
+    ``(guard, acc, target)``, the literal bits of ``old`` (``literals``
+    decodes them), acceptance bit j set iff the j-th Until by rank is not
+    in ``old`` or its right side is, and ``next`` itself as the target.  A
+    run from ``root`` reads, at step i, a letter where the ``Atom`` literals
+    of its transition's guard hold and the ``Not`` literals fail; it
+    accepts iff every bit of ``full`` recurs infinitely often.
+    ``explored``, the one record of the expanded classes, maps each to its
+    transitions in expansion order; ``states`` is a view of it.  ``pairs``
+    holds each distinct (old, next) expansion met so far with its
+    transition, shared by every class that has it.  ``sides`` counts the
+    ``cover`` sides expanded; ``EngineLimitError`` is raised once it would
+    pass ``state_cap``, even inside one expansion.
     """
 
-    def __init__(self, nodes: list[Formula], tables: tuple, state_cap: int):
-        self.nodes = nodes      # the NNF subformulas by rank: guard bit i is nodes[i]
-        self.tables = tables    # build_gba's numbering: kind, left, right, must, bad, literals, untils
-        self.full = (1 << len(tables[6])) - 1
+    def __init__(self, f: Formula, state_cap: int = DEFAULT_STATE_CAP):
+        nodes = self.nodes = postorder(f)
+        rank = {g: i for i, g in enumerate(nodes)}
+        kind = self.kind = [g.__class__ for g in nodes]
+        left = self.left = [-1] * len(nodes)
+        right = self.right = [-1] * len(nodes)
+        must = self.must = [0] * len(nodes)
+        bad = self.bad = [0] * len(nodes)
+        literals = 0
+        for i, g in enumerate(nodes):
+            k = kind[i]
+            if k is Not and g.arg.__class__ is not Atom:
+                raise ValueError("negation on a non-atom: formula not in NNF")
+            if k is Atom or k is Not:
+                literals |= 1 << i
+                must[i], bad[i] = 1 << i, (1 << rank[g.arg] if k is Not else 0)
+            elif k is And or k is Or or k is Until or k is Release:
+                a = left[i] = rank[g.left]
+                b = right[i] = rank[g.right]
+                if k is And:
+                    must[i], bad[i] = must[a] | must[b], bad[a] | bad[b]
+                elif k is Release or must[a] & bad[a]:     # b holds now, or a is dead
+                    must[i], bad[i] = must[b], bad[b]
+                elif must[b] & bad[b]:
+                    must[i], bad[i] = must[a], bad[a]
+                else:   # an atom has one Not node, so bad[a] & bad[b] matches must[a] & must[b]
+                    must[i], bad[i] = must[a] & must[b], bad[a] & bad[b]
+            elif k is Next:
+                left[i] = rank[g.arg]
+            elif k is FalseF:
+                must[i] = bad[i] = 1 << i
+            elif k is not TrueF:
+                raise ValueError(f"unexpected node in NNF formula: {g!r}")
+        self.literal_bits = literals
+        self.untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind) if k is Until]
+        self.full = (1 << len(self.untils)) - 1
         self.state_cap = state_cap
         self.root = 1 << len(nodes) - 1         # the class of the root obligation
         self.explored: dict[int, list] = {}     # class -> its transitions, once expanded
-        self.states: list[GbaClass] = []
         self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.sides = 0
+
+    @property
+    def states(self) -> list[GbaClass]:
+        """The expanded classes, in the order they were expanded."""
+        return [GbaClass(out) for out in self.explored.values()]
 
     def literals(self, guard: int) -> list[Formula]:
         """The ``Atom`` and ``Not`` nodes of a guard, by rank."""
@@ -213,19 +264,17 @@ class Gba:
         out = self.explored.get(v)
         if out is None:
             out = []
-            *_, literals, untils = self.tables
             for key in self.cover(v):
                 t = self.pairs.get(key)
                 if t is None:   # guard and acceptance bits once per distinct pair
                     old, nxt = key
                     acc = 0
-                    for j, (until, fulfilled) in enumerate(untils):
+                    for j, (until, fulfilled) in enumerate(self.untils):
                         if not old & until or old & fulfilled:
                             acc |= 1 << j
-                    t = self.pairs[key] = (old & literals, acc, nxt)
+                    t = self.pairs[key] = (old & self.literal_bits, acc, nxt)
                 out.append(t)
             self.explored[v] = out
-            self.states.append(GbaClass(out))
         return out
 
     def cover(self, obligations: int) -> dict[tuple[int, int], None]:
@@ -244,7 +293,7 @@ class Gba:
         keep their depth-first order, so results do too.  Each side taken off
         the stack counts toward ``state_cap``.
         """
-        kind, left, right, must, bad, *_ = self.tables
+        kind, left, right, must, bad = self.kind, self.left, self.right, self.must, self.bad
         sides, cap = self.sides, self.state_cap
         results: dict[tuple[int, int], None] = {}
         new = _ids(obligations)
@@ -306,56 +355,7 @@ def _ids(mask: int) -> list[int]:
     return ids
 
 
-def build_gba(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> Gba:
-    """The automaton of ``f``, which must be in negation normal form, with no
-    class expanded yet; ``Gba.succ`` runs the tableau on a class when asked.
-
-    Subformulas are numbered by their rank in ``postorder(f)`` (the atom
-    under a negative literal just before it), and obligation sets are int
-    bitmasks over ranks.  The numbering loop also gives each node ``must``,
-    the literal bits that every expansion of it puts into ``old``, and
-    ``bad``, the atoms negated in ``must``.  A literal's ``must`` is its own
-    bit, as is ``FALSE``'s, which is also its ``bad``; ``&`` takes the union,
-    ``R`` its right side's, ``|`` and ``U`` the intersection, or the other
-    side's when one side is dead (``must & bad`` nonzero).  ``cover`` never
-    builds a dead side, which leaves the automaton unchanged.  Raises
-    ``ValueError`` on a formula outside NNF.
-    """
-    nodes = postorder(f)
-    rank = {g: i for i, g in enumerate(nodes)}
-    kind = [g.__class__ for g in nodes]
-    left = [-1] * len(nodes)        # first child id, or -1
-    right = [-1] * len(nodes)       # second child id, or -1
-    must = [0] * len(nodes)         # literal bits every expansion puts into old
-    bad = [0] * len(nodes)          # atom bits whose negation is in must
-    literals = 0                    # bits of the Atom and Not nodes
-    for i, g in enumerate(nodes):
-        k = kind[i]
-        if k is Not and g.arg.__class__ is not Atom:
-            raise ValueError("negation on a non-atom: formula not in NNF")
-        if k is Atom or k is Not:
-            literals |= 1 << i
-            must[i], bad[i] = 1 << i, (1 << rank[g.arg] if k is Not else 0)
-        elif k is And or k is Or or k is Until or k is Release:
-            a = left[i] = rank[g.left]
-            b = right[i] = rank[g.right]
-            if k is And:
-                must[i], bad[i] = must[a] | must[b], bad[a] | bad[b]
-            elif k is Release or must[a] & bad[a]:     # b holds now, or a is dead
-                must[i], bad[i] = must[b], bad[b]
-            elif must[b] & bad[b]:
-                must[i], bad[i] = must[a], bad[a]
-            else:   # an atom has one Not node, so bad[a] & bad[b] matches must[a] & must[b]
-                must[i], bad[i] = must[a] & must[b], bad[a] & bad[b]
-        elif k is Next:
-            left[i] = rank[g.arg]
-        elif k is FalseF:
-            must[i] = bad[i] = 1 << i
-        elif k is not TrueF:
-            raise ValueError(f"unexpected node in NNF formula: {g!r}")
-    untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind) if k is Until]
-    return Gba(nodes, (kind, left, right, must, bad, literals, untils), state_cap)
-
+build_gba = Gba     # the automaton of an NNF formula, no class expanded yet
 
 _OFF_STACK = float("inf")   # above every Tarjan index
 

@@ -79,8 +79,8 @@ _CONNECTIVES = {And: operator.and_, Or: operator.or_, Implies: operator.le, Iff:
 def _values(trace: LassoTrace, f: Formula) -> list[bool]:
     """Truth value of ``f`` at each of the finitely many distinct positions.
 
-    Until is a least fixpoint, Release a greatest fixpoint; both are
-    iterated to stabilization over the lasso positions.
+    Until is a least fixpoint, Release a greatest fixpoint; ``_fixpoint``
+    computes both over the lasso positions.
     """
     n = trace.positions
     p = len(trace.prefix)
@@ -114,17 +114,15 @@ def _values(trace: LassoTrace, f: Formula) -> list[bool]:
 def _fixpoint(lv: list[bool], rv: list[bool], succ: list[int], least: bool) -> list[bool]:
     """``l U r`` from all-false (``least``), else ``l R r`` from all-true."""
     vals = [not least] * len(succ)
-    changed = True
-    while changed:
-        changed = False
+    # Two backward sweeps: one revolution from the loop entry p covers the
+    # whole loop, so the first sweep fixes p (and the prefix before it), and
+    # the second, whose last loop position reads p, then fixes every position.
+    for _ in range(2):
         for i in range(len(succ) - 1, -1, -1):
             if least:
-                v = rv[i] or (lv[i] and vals[succ[i]])
+                vals[i] = rv[i] or (lv[i] and vals[succ[i]])
             else:
-                v = rv[i] and (lv[i] or vals[succ[i]])
-            if v != vals[i]:
-                vals[i] = v
-                changed = True
+                vals[i] = rv[i] and (lv[i] or vals[succ[i]])
     return vals
 
 

@@ -12,7 +12,8 @@ import pytest
 import ltlsplit
 from ltlsplit import InternalSolver, cli
 from ltlsplit.cli import EXIT_AUDIT, EXIT_ENGINE, EXIT_INPUT, EXIT_OK, main
-from ltlsplit.engine import DEFAULT_STATE_CAP
+from ltlsplit.decompose import InvariantViolation
+from ltlsplit.engine import DEFAULT_STATE_CAP, WitnessSoundnessError
 from helpers import spec_text
 
 
@@ -67,6 +68,11 @@ class TestSettings:
     def test_external_command_validated(self, intro_file, capsys):
         assert main([str(intro_file), "--engine", "external: "]) == EXIT_INPUT
         assert capsys.readouterr().err.startswith("error: bad engine")
+
+    def test_unknown_engine_names_the_choices(self, intro_file, capsys):
+        assert main([str(intro_file), "--engine", "foo"]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "error: bad engine 'foo': expected 'internal' or 'external:<command>'\n")
 
 
 class TestMain:
@@ -267,6 +273,15 @@ class TestMain:
         assert proc.returncode == EXIT_INPUT
         assert proc.stderr.startswith("error: bad engine")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("fault", [InvariantViolation, WitnessSoundnessError])
+    def test_engine_fault_exits_3(self, intro_file, capsys, monkeypatch, fault):
+        def broken(spec, solver):
+            raise fault("broken on purpose")
+
+        monkeypatch.setattr(cli, "partition", broken)
+        assert main([str(intro_file)]) == EXIT_AUDIT
+        assert capsys.readouterr() == ("", "fault: broken on purpose\n")
 
     def test_usage_error_exits_1(self, intro_file, capsys):
         for argv in ([str(intro_file), "--state-cap", "abc"], []):

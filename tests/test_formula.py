@@ -88,6 +88,11 @@ class TestRenameProjection:
         renamed = rename_projection(PHI_PROJ, {"a", "d", "e"})
         assert formula.map_atoms(renamed, lambda a: Atom(a.base)) == PHI_PROJ
 
+    @pytest.mark.parametrize("text, want", [("a U true", "(a' U true)"),
+                                            ("G(a -> false) | b", "(G (a' -> false) | b')")])
+    def test_constants_are_kept(self, text, want):
+        assert print_formula(rename_projection(parse_formula(text), {"a", "b"})) == want
+
     def test_atom_set_after_renaming(self):
         w = {"a", "b"}
         got = atoms(rename_projection(PHI_PROJ, w))

@@ -1,9 +1,12 @@
 """Lasso traces: evaluation, Z extraction, serialization; the oracle's projection."""
 
+import random
+
 import pytest
 
 from ltlsplit import (
     TRUE,
+    Atom,
     LassoTrace,
     compute_z,
     eval_formula,
@@ -87,6 +90,29 @@ class TestEval:
         tau = lasso([], [state("a"), state()])
         assert eval_formula(tau, parse_formula("G F a"), 0)
         assert not eval_formula(tau, parse_formula("F G a"), 0)
+
+    def test_until_and_release_match_their_definitions(self):
+        """``a U b`` and ``a R b`` at every position of 500 seeded lassos agree
+        with a direct reading of their definitions along the word: from any
+        position, every position of the lasso recurs within ``positions``
+        steps, so the state that decides each shows within twice that."""
+        rng = random.Random(21)
+        until, release = parse_formula("a U b"), parse_formula("a R b")
+        a, b = Atom("a"), Atom("b")
+
+        def draw(n):
+            return [{x for x in (a, b) if rng.random() < 0.5} for _ in range(n)]
+
+        for _ in range(500):
+            tau = lasso(draw(rng.randrange(4)), draw(rng.randrange(1, 5)))
+            for i in range(tau.positions):
+                word = [tau.state_at(i + k) for k in range(2 * tau.positions)]
+                # U: the first state with b, or without a, decides; R: the
+                # first state without b, or with a.
+                want_u = next((b in s for s in word if b in s or a not in s), False)
+                want_r = next((b in s for s in word if b not in s or a in s), True)
+                assert eval_formula(tau, until, i) == want_u
+                assert eval_formula(tau, release, i) == want_r
 
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError):
