@@ -12,7 +12,6 @@ from .decompose import InvariantViolation, partition, verify_partition
 from .engine import (
     DEFAULT_STATE_CAP,
     EngineLimitError,
-    ExternalSolver,
     ExternalSolverError,
     InternalSolver,
     WitnessSoundnessError,
@@ -47,11 +46,12 @@ def _parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def _solver(engine: str, state_cap: int) -> InternalSolver | ExternalSolver:
+def _solver(engine: str, state_cap: int):
     """The solver an ``--engine`` value names; ``ValueError`` on a bad one."""
     if engine == "internal":
         return InternalSolver(state_cap)
     if engine.startswith("external:"):
+        from .external import ExternalSolver     # the only path that starts processes
         return ExternalSolver(engine[len("external:"):])
     raise ValueError("expected 'internal' or 'external:<command>'")
 
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
         print(f"fault: {exc}", file=sys.stderr)
         return EXIT_AUDIT
     finally:
-        if isinstance(solver, ExternalSolver):
+        if hasattr(solver, "close"):    # an ExternalSolver ends its child
             solver.close()
 
     evidence_path = None

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .engine import UNSAT, InternalSolver, SatResult
-from .formula import Formula, dependence_query, lock_conjunct
+from .formula import Formula, FrozenRecord, Record, dependence_query, lock_conjunct
 from .parser import Spec
 from .traces import LassoTrace, compute_z
 
@@ -22,21 +21,18 @@ class InvariantViolation(Exception):
     """A Sat witness yielded an empty disagreement set; engine soundness bug."""
 
 
-@dataclass
-class QueryRecord:
+class QueryRecord(Record):
     formula: Formula
     verdict: str                       # "SAT" or "UNSAT"
     witness: LassoTrace | None
     millis: float
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(FrozenRecord):
     vars: tuple[str, ...]
 
 
-@dataclass
-class PartitionResult:
+class PartitionResult(Record):
     blocks: list[Block]
     query_log: list[QueryRecord]
 
@@ -119,23 +115,20 @@ def partition(spec: Spec, solver=None) -> PartitionResult:
     return PartitionResult(blocks, log)
 
 
-@dataclass
-class SubsetAudit:
+class SubsetAudit(Record):
     subset: tuple[str, ...]
     dependent: bool
     witness: LassoTrace | None
 
 
-@dataclass
-class BlockAudit:
+class BlockAudit(Record):
     vars: tuple[str, ...]
     sound: bool
-    witness: LassoTrace | None = None
-    minimality: list[SubsetAudit] = field(default_factory=list)
+    witness: LassoTrace | None
+    minimality: list[SubsetAudit]
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     block_audits: list[BlockAudit]
 
     @property
@@ -159,7 +152,7 @@ def verify_partition(spec: Spec, result: PartitionResult, solver=None,
     phi = spec.formula
     audits = []
     for block in result.blocks:
-        audit = BlockAudit(block.vars, *check_independent(phi, block.vars, spec.sys, solver))
+        audit = BlockAudit(block.vars, *check_independent(phi, block.vars, spec.sys, solver), [])
         if minimality:
             for size in range(1, len(block.vars)):
                 for subset in combinations(block.vars, size):

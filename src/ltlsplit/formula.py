@@ -2,7 +2,7 @@
 
 Atoms carry a ``primed`` flag rather than a name suffix, so the fresh
 variables introduced by projection renaming can never collide with a
-declared variable.
+declared variable.  ``Record`` is the base of the package's value types.
 """
 
 from __future__ import annotations
@@ -288,3 +288,45 @@ def print_formula(f: Formula) -> str:
         else:
             out.append(_CONSTANT[cls])
     return "".join(out)
+
+
+
+class Record:
+    """A value type over the fields its class annotates, in order, as a
+    dataclass reads them but without that module's import cost.  Each class
+    gets an ``__init__`` written out for its fields, as a dataclass does, so
+    Python binds them and a record costs what a plain object does to build;
+    a class with its own ``__init__`` calls that one as ``_init``.  ``==``
+    and ``repr`` go field by field.  A record is unhashable; a
+    ``FrozenRecord`` hashes by its fields and refuses assignment."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        args = ", ".join(("self",) + cls._fields)
+        body = "".join(f"\n    set(self, {name!r}, {name})" for name in cls._fields)
+        scope = {"set": object.__setattr__}
+        exec(f"def __init__({args}):{body or ' pass'}", scope)
+        cls._init = scope["__init__"]
+        if "__init__" not in vars(cls):
+            cls.__init__ = cls._init
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ \
+            else NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__

@@ -16,7 +16,6 @@ declared variable names may not carry one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .formula import (
     FALSE,
@@ -26,6 +25,7 @@ from .formula import (
     Atom,
     Eventually,
     Formula,
+    FrozenRecord,
     Iff,
     Implies,
     Next,
@@ -155,8 +155,7 @@ def parse_formula(text: str) -> Formula:
     return _parse(_tokenize(text), {})
 
 
-@dataclass(frozen=True)
-class Spec:
+class Spec(FrozenRecord):
     """A reactive-synthesis specification: env/sys variables and a formula."""
 
     env: tuple[str, ...]

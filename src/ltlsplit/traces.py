@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 
 from .formula import (
     Always,
@@ -18,6 +17,7 @@ from .formula import (
     Eventually,
     FalseF,
     Formula,
+    FrozenRecord,
     Iff,
     Implies,
     Next,
@@ -46,14 +46,14 @@ def state(*names: str) -> State:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class LassoTrace:
+class LassoTrace(FrozenRecord):
     prefix: tuple[State, ...]
     loop: tuple[State, ...]
 
-    def __post_init__(self):
-        if not self.loop:
+    def __init__(self, prefix: tuple[State, ...], loop: tuple[State, ...]):
+        if not loop:
             raise ValueError("lasso loop must be nonempty")
+        self._init(prefix, loop)
 
     def state_at(self, i: int) -> State:
         if i < len(self.prefix):
