@@ -290,7 +290,6 @@ def print_formula(f: Formula) -> str:
     return "".join(out)
 
 
-
 class Record:
     """A value type over the fields its class annotates, in order, as a
     dataclass reads them but without that module's import cost.  Each class
