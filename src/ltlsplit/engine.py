@@ -19,9 +19,9 @@ the side already holds (syntactic implication, Daniele, Giunchiglia &
 Vardi, CAV 1999).  The state cap counts the tableau sides expanded per
 query.  Every Sat answer is self-checked against the queried formula
 before it is returned; a failure here is an engine bug, never a caller
-error.  The query protocol's server (``serve_stdin_queries``), its errors
-and ``REPLY_TIMEOUT_S`` live here; its client, ``ExternalSolver``, lives
-in ``ltlsplit.external``, the one module that starts processes.
+error.  The query protocol's server (``serve_stdin_queries``) and its errors
+live here; its client, ``ExternalSolver``, lives in ``ltlsplit.external``,
+the one module that starts processes.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .parser import SpecError, parse_formula
 from .traces import LassoTrace, eval_formula, format_trace
 
 DEFAULT_STATE_CAP = 200_000
-REPLY_TIMEOUT_S = 300       # an external child that takes longer over one query is killed
 
 
 class EngineLimitError(Exception):

@@ -10,10 +10,11 @@ import threading
 import weakref
 from contextlib import AbstractContextManager, suppress
 
-from . import engine
 from .engine import UNSAT, EngineLimitError, ExternalSolverError, SatResult
 from .formula import Formula, print_formula
 from .traces import eval_formula, format_trace, parse_trace
+
+REPLY_TIMEOUT_S = 300       # an external child that takes longer over one query is killed
 
 
 def _end_child(proc: subprocess.Popen, stderr) -> tuple[int, str]:
@@ -37,7 +38,7 @@ class ExternalSolver(AbstractContextManager):
     ``LIMIT`` (budget ran out: ``EngineLimitError``) or ``ERROR`` (no answer:
     ``ExternalSolverError``) followed by one message line.  A child that ends
     before it answers is reported by its last stderr line; one silent for
-    ``engine.REPLY_TIMEOUT_S`` (read at each query) is killed.  External
+    ``REPLY_TIMEOUT_S`` (read at each query) is killed.  External
     witnesses must pass the eval self-check before acceptance.  The child
     starts at the first ``solve``; ``close()``, leaving a ``with`` block,
     any ``ExternalSolverError``, garbage collection and interpreter exit
@@ -70,19 +71,17 @@ class ExternalSolver(AbstractContextManager):
             self._child = proc, weakref.finalize(self, _end_child, proc, stderr)
         proc = self._child[0]
         expired = threading.Event()
-        timeout = engine.REPLY_TIMEOUT_S
+        timeout = REPLY_TIMEOUT_S
         timer = threading.Timer(timeout, lambda: (expired.set(), proc.kill()))
         timer.start()
-        lines: list[str] = []   # the reply's nonblank lines: two after SAT, LIMIT or ERROR
         try:
             with suppress(BrokenPipeError):     # a child that has ended reads as EOF below
                 proc.stdin.write(print_formula(f) + "\n")
                 proc.stdin.flush()
-            for line in filter(None, map(str.strip, proc.stdout)):
-                lines.append(line)
-                if len(lines) == 2 or line not in ("SAT", "LIMIT", "ERROR"):
-                    break
-            else:   # EOF: the child ended before a whole reply
+            reply = filter(None, map(str.strip, proc.stdout))   # the nonblank lines
+            verdict = next(reply, "")
+            detail = next(reply, None) if verdict in ("SAT", "LIMIT", "ERROR") else ""
+            if not verdict or detail is None:   # EOF: the child ended before a whole reply
                 code, stderr = self.close()
                 if expired.is_set():
                     raise ExternalSolverError(
@@ -91,21 +90,19 @@ class ExternalSolver(AbstractContextManager):
                     last = [ln.strip() for ln in stderr.splitlines() if ln.strip()][-1:]
                     raise ExternalSolverError(
                         ": ".join([f"external solver: exited with {code}", *last]))
-            if not lines:
+            if not verdict:
                 raise ExternalSolverError("external solver: no output")
-            verdict = lines[0]
             if verdict == "UNSAT":
                 return UNSAT
             if verdict == "LIMIT" or verdict == "ERROR":
-                detail = lines[1] if len(lines) > 1 else f"{verdict} without a message"
                 error = EngineLimitError if verdict == "LIMIT" else ExternalSolverError
-                raise error(f"external solver: {detail}")
+                raise error(f"external solver: {detail or verdict + ' without a message'}")
             if verdict != "SAT":
                 raise ExternalSolverError(f"external solver: malformed verdict line {verdict!r}")
-            if len(lines) < 2:
+            if detail is None:
                 raise ExternalSolverError("external solver: SAT answer missing its witness line")
             try:
-                witness = parse_trace(lines[1])
+                witness = parse_trace(detail)
             except ValueError as exc:
                 raise ExternalSolverError(f"external solver: malformed witness: {exc}") from exc
             if not eval_formula(witness, f, 0):

@@ -291,23 +291,27 @@ def print_formula(f: Formula) -> str:
 
 
 class Record:
-    """A value type over the fields its class annotates, in order, as a
-    dataclass reads them but without that module's import cost.  Each class
-    gets an ``__init__`` written out for its fields, as a dataclass does, so
-    Python binds them and a record costs what a plain object does to build;
-    a class with its own ``__init__`` calls that one as ``_init``.  ``==``
-    and ``repr`` go field by field.  A record is unhashable; a
-    ``FrozenRecord`` hashes by its fields and refuses assignment."""
+    """A value type over the fields its class annotates, after its parent's,
+    as a dataclass reads them but without that module's import cost.  Each
+    class gets an ``__init__`` written out for its fields, as a dataclass
+    does, so Python binds them and a record costs what a plain object does
+    to build; a class that writes or inherits its own ``__init__`` calls
+    that one as ``_init``.  ``==``, ``repr`` and positional ``match`` go
+    field by field.  A record is unhashable; a ``FrozenRecord`` hashes by
+    its fields and refuses assignment."""
+
+    _fields = ()
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__annotations__)
+        # on 3.10+ a class's ``__annotations__`` holds its own fields only
+        cls._fields = cls.__match_args__ = cls._fields + tuple(cls.__annotations__)
         args = ", ".join(("self",) + cls._fields)
         body = "".join(f"\n    set(self, {name!r}, {name})" for name in cls._fields)
         scope = {"set": object.__setattr__}
         exec(f"def __init__({args}):{body or ' pass'}", scope)
+        if cls.__init__ in (object.__init__, getattr(cls, "_init", None)):  # none written out
+            cls.__init__ = scope["__init__"]
         cls._init = scope["__init__"]
-        if "__init__" not in vars(cls):
-            cls.__init__ = cls._init
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

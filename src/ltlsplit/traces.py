@@ -82,14 +82,15 @@ def _values(trace: LassoTrace, f: Formula) -> list[bool]:
     Until is a least fixpoint, Release a greatest fixpoint; ``_fixpoint``
     computes both over the lasso positions.
     """
-    n = trace.positions
+    states = trace.prefix + trace.loop
+    n = len(states)
     p = len(trace.prefix)
     succ = [i + 1 if i + 1 < n else p for i in range(n)]
     values: dict[Formula, list[bool]] = {}
     for g in postorder(f):
         cls = g.__class__
         if cls is Atom:
-            vals = [g in trace.state_at(i) for i in range(n)]
+            vals = [g in s for s in states]
         elif cls is TrueF or cls is FalseF:
             vals = [cls is TrueF] * n
         elif cls is Not:
@@ -139,14 +140,11 @@ def compute_z(trace: LassoTrace, candidates) -> tuple[str, ...]:
     The result preserves the order of ``candidates``.
     """
     out = []
-    n = trace.positions
+    states = trace.prefix + trace.loop
     for z in candidates:
         plain, primed = Atom(z), Atom(z, True)
-        for i in range(n):
-            s = trace.state_at(i)
-            if (plain in s) != (primed in s):
-                out.append(z)
-                break
+        if any((plain in s) != (primed in s) for s in states):
+            out.append(z)
     return tuple(out)
 
 
@@ -183,7 +181,5 @@ def parse_trace(text: str) -> LassoTrace:
             states.append(state(*names))
         return tuple(states)
 
-    loop = parse_states(loop_text)
-    if not loop:
-        raise ValueError("trace loop must be nonempty")
+    loop = parse_states(loop_text)     # first, so its faults come before the prefix's
     return LassoTrace(parse_states(pre_text), loop)

@@ -25,6 +25,7 @@ from ltlsplit import (
     Next,
     Not,
     Or,
+    SatResult,
     UNSAT,
     atoms,
     build_gba,
@@ -653,6 +654,25 @@ class TestExternalSolver:
         assert out.getvalue().splitlines() == [
             "LIMIT", "tableau exceeded the state cap of 2", "SAT", "{a} | {}"]
 
+    @pytest.mark.parametrize("reply, error, message", [
+        ("LIMIT", EngineLimitError, "external solver: LIMIT without a message"),
+        ("ERROR", ExternalSolverError, "external solver: ERROR without a message"),
+        ("SAT\n{a} |", ExternalSolverError,
+         "external solver: malformed witness: lasso loop must be nonempty"),
+    ], ids=["limit", "error", "empty-loop"])
+    def test_incomplete_reply_ends_the_child(self, reply, error, message):
+        solver = fake_solver(f"print({reply!r})")
+        with pytest.raises(error) as info:
+            solver.solve(parse_formula("a"))
+        assert type(info.value) is error
+        assert str(info.value) == message
+        assert solver._child is None
+
+    def test_blank_lines_in_a_reply_are_skipped(self):
+        solver = fake_solver("print('SAT'); print(); print('   '); print('| {a}')")
+        assert solver.solve(parse_formula("a")) == SatResult(lasso([], [{Atom("a")}]))
+        solver.close()
+
     def test_malformed_verdict(self):
         with pytest.raises(ExternalSolverError, match="verdict"):
             fake_solver("print('MAYBE')").solve(parse_formula("a"))
@@ -707,7 +727,7 @@ class TestExternalSolver:
             solver.solve(parse_formula("a"))
 
     def test_silent_child_times_out(self, monkeypatch):
-        monkeypatch.setattr(engine, "REPLY_TIMEOUT_S", 0.5)
+        monkeypatch.setattr("ltlsplit.external.REPLY_TIMEOUT_S", 0.5)
         solver = fake_solver("import time; input(); time.sleep(60)")
         start = time.perf_counter()
         with pytest.raises(ExternalSolverError, match="^external solver: no answer within 0.5 s$"):

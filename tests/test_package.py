@@ -95,6 +95,48 @@ class TestRecords:
         with pytest.raises(TypeError, match="__init__"):
             Block(*args, **kwargs)
 
+    def test_a_subclass_keeps_its_parents_fields(self):
+        class MyBlock(Block):
+            pass
+
+        a, b = MyBlock(("a",)), MyBlock(vars=("a",))
+        assert MyBlock._fields == ("vars",)
+        assert a == b and hash(a) == hash(b)
+        assert a != Block(("a",))
+        assert repr(a).endswith("MyBlock(vars=('a',))")
+
+    def test_a_subclass_adds_its_fields_after_its_parents(self):
+        class Tagged(Block):
+            tag: str
+
+        record = Tagged(("a",), "t")
+        assert Tagged._fields == ("vars", "tag")
+        assert (record.vars, record.tag) == (("a",), "t")
+        assert record != Tagged(("a",), "u")
+
+    def test_a_subclass_keeps_a_written_out_init(self):
+        class MyTrace(LassoTrace):
+            pass
+
+        with pytest.raises(ValueError, match="loop must be nonempty"):
+            MyTrace((), ())
+        assert MyTrace((), (state("a"),)).loop == (state("a"),)
+
+    def test_positional_match(self):
+        trace = LassoTrace((state("p"),), (state("a"),))
+        match SatResult(trace):
+            case SatResult(witness):
+                pass
+        match Block(("a", "b")):
+            case Block(names):
+                pass
+        match trace:
+            case LassoTrace(prefix, loop):
+                pass
+        assert witness is trace
+        assert names == ("a", "b")
+        assert (prefix, loop) == ((state("p"),), (state("a"),))
+
     def test_mutable_records_are_unhashable(self):
         record = QueryRecord(parse_formula("a"), "UNSAT", None, 0.5)
         record.millis = 1.0
