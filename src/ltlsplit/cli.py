@@ -42,7 +42,8 @@ def _parse_args(argv) -> argparse.Namespace:
                         help="also check every proper subset of each block")
     parser.add_argument("--log-queries", action="store_true",
                         help="write <input>.evidence.jsonl with every solver query")
-    parser.add_argument("--quiet", action="store_true")
+    parser.add_argument("--quiet", action="store_true",
+                        help="no text report; --format json still prints; same exit codes")
     return parser.parse_args(argv)
 
 

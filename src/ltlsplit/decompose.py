@@ -13,7 +13,7 @@ from collections import Counter
 from itertools import combinations
 
 from .engine import UNSAT, InternalSolver, SatResult
-from .formula import Formula, FrozenRecord, Record, dependence_query, lock_conjunct
+from .formula import Formula, Record, dependence_query, lock_conjunct
 from .parser import Spec
 from .traces import LassoTrace, compute_z
 
@@ -28,7 +28,7 @@ class QueryRecord(Record):
     millis: float
 
 
-class Block(FrozenRecord):
+class Block(Record):
     vars: tuple[str, ...]
 
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from functools import reduce
 from operator import or_
+from types import SimpleNamespace
 
 from .formula import (
     FALSE,
@@ -39,7 +40,6 @@ from .formula import (
     Eventually,
     FalseF,
     Formula,
-    FrozenRecord,
     Iff,
     Implies,
     Next,
@@ -71,7 +71,7 @@ class ExternalSolverError(Exception):
     """The external solver child failed or produced an unusable answer."""
 
 
-class SatResult(FrozenRecord):
+class SatResult(Record):
     """Either Unsat, or Sat carrying a lasso model of the queried formula."""
 
     witness: LassoTrace | None
@@ -160,13 +160,6 @@ def to_nnf(f: Formula) -> Formula:
     return nnf[f][0]
 
 
-class GbaClass(Record):
-    """One explored class as ``Gba.states`` shows it; ``succ`` holds its
-    transitions ``(guard, acc, target)`` in ``cover`` order."""
-
-    succ: list[tuple[int, int, int]]
-
-
 class Gba:
     """Transition-based generalized Buchi automaton of ``f``, which must be in
     negation normal form (``ValueError`` otherwise), over next-obligation
@@ -245,9 +238,9 @@ class Gba:
         self.sides = 0
 
     @property
-    def states(self) -> list[GbaClass]:
-        """The expanded classes, in the order they were expanded."""
-        return [GbaClass(out) for out in self.explored.values()]
+    def states(self) -> list[SimpleNamespace]:
+        """The expanded classes in expansion order, each with its transitions as ``succ``."""
+        return [SimpleNamespace(succ=out) for out in self.explored.values()]
 
     def literals(self, guard: int) -> list[Formula]:
         """The ``Atom`` and ``Not`` nodes of a guard, by rank."""

@@ -296,9 +296,9 @@ class Record:
     class gets an ``__init__`` written out for its fields, as a dataclass
     does, so Python binds them and a record costs what a plain object does
     to build; a class that writes or inherits its own ``__init__`` calls
-    that one as ``_init``.  ``==``, ``repr`` and positional ``match`` go
-    field by field.  A record is unhashable; a ``FrozenRecord`` hashes by
-    its fields and refuses assignment."""
+    that one as ``_init``.  ``==``, ``hash``, ``repr`` and positional
+    ``match`` go field by field.  Every record refuses assignment; one that
+    holds a list raises ``TypeError`` on ``hash``, as a frozen dataclass does."""
 
     _fields = ()
 
@@ -324,8 +324,6 @@ class Record:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
-
-class FrozenRecord(Record):
     def __hash__(self) -> int:
         return hash(self._values())
 

@@ -25,12 +25,12 @@ from .formula import (
     Atom,
     Eventually,
     Formula,
-    FrozenRecord,
     Iff,
     Implies,
     Next,
     Not,
     Or,
+    Record,
     Release,
     Until,
     atoms,
@@ -155,7 +155,7 @@ def parse_formula(text: str) -> Formula:
     return _parse(_tokenize(text), {})
 
 
-class Spec(FrozenRecord):
+class Spec(Record):
     """A reactive-synthesis specification: env/sys variables and a formula."""
 
     env: tuple[str, ...]

@@ -17,16 +17,17 @@ from .formula import (
     Eventually,
     FalseF,
     Formula,
-    FrozenRecord,
     Iff,
     Implies,
     Next,
     Not,
     Or,
+    Record,
     Release,
     TrueF,
     Until,
     postorder,
+    print_formula,
 )
 from .parser import _IDENT_RE
 
@@ -46,7 +47,7 @@ def state(*names: str) -> State:
     return frozenset(out)
 
 
-class LassoTrace(FrozenRecord):
+class LassoTrace(Record):
     prefix: tuple[State, ...]
     loop: tuple[State, ...]
 
@@ -149,9 +150,7 @@ def compute_z(trace: LassoTrace, candidates) -> tuple[str, ...]:
 
 
 def format_state(s: State) -> str:
-    names = [a.base + ("'" if a.primed else "")
-             for a in sorted(s, key=lambda a: (a.base, a.primed))]
-    return "{" + ", ".join(names) + "}"
+    return "{" + ", ".join(sorted(map(print_formula, s))) + "}"
 
 
 def format_trace(trace: LassoTrace) -> str:

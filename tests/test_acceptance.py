@@ -16,7 +16,6 @@ from ltlsplit import (
     InternalSolver,
     Not,
     PartitionResult,
-    UNSAT,
     atoms,
     check_independent,
     compute_z,

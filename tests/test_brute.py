@@ -13,7 +13,6 @@ from ltlsplit import (
 )
 from brute import (
     EnumerationBudgetError,
-    TraceSet,
     align,
     bounded_sat,
     set_join,

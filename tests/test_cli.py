@@ -245,6 +245,12 @@ class TestMain:
         command = f"{sys.executable} -c \"import sys; sys.exit(1)\""
         assert main([str(intro_file), "--engine", f"external:{command}"]) == EXIT_ENGINE
 
+    def test_external_solver_that_cannot_start(self, intro_file, capsys):
+        assert main([str(intro_file), "--engine", "external:/nonexistent/solver"]) == EXIT_ENGINE
+        err = capsys.readouterr().err
+        assert err.startswith("error: external solver: failed to run: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
     def test_crashing_external_child(self, intro_file):
         command = f"{sys.executable} -c \"raise RuntimeError('boom')\""
         proc = run_cli(intro_file, "--engine", f"external:{command}")

@@ -215,6 +215,11 @@ class TestBuildGba:
         with pytest.raises(ValueError):
             build_gba(parse_formula("!(a & b)"))
 
+    @pytest.mark.parametrize("text", ["a -> b", "a <-> b", "F a", "G a"])
+    def test_rejects_each_desugared_connective(self, text):
+        with pytest.raises(ValueError, match="^unexpected node in NNF formula: "):
+            build_gba(parse_formula(text))
+
     def test_always_a_single_looping_state(self):
         gba = _explored(build_gba(to_nnf(parse_formula("G a"))))
         assert list(gba.explored) == [gba.root]
@@ -625,6 +630,15 @@ class TestExternalSolver:
     def test_no_output(self):
         with pytest.raises(ExternalSolverError, match="no output"):
             fake_solver("pass").solve(parse_formula("a"))
+
+    def test_a_command_that_cannot_start_fails_every_call(self):
+        # The stderr file is closed on the way out: a leak would be a
+        # ResourceWarning, which the suite treats as an error.
+        solver = ExternalSolver(["/nonexistent/solver"])
+        for _ in range(2):
+            with pytest.raises(ExternalSolverError, match="^external solver: failed to run: "):
+                solver.solve(TRUE)
+            assert solver._child is None
 
     def test_limit_reply_raises_engine_limit(self):
         with pytest.raises(EngineLimitError, match="external solver: out of states"):

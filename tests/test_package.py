@@ -10,7 +10,7 @@ import pytest
 
 import ltlsplit
 from ltlsplit import Block, LassoTrace, SatResult, Spec, parse_formula, state
-from ltlsplit.decompose import QueryRecord
+from ltlsplit.decompose import PartitionResult, QueryRecord, SubsetAudit
 
 # Modules that only ``@dataclass`` and the external solver's child process
 # pulled in; none of them may load with the package or its CLI.
@@ -53,6 +53,9 @@ RECORDS = {
     Spec: lambda: (("p",), ("a", "b"), parse_formula("G(p -> a) & F b")),
     SatResult: lambda: (LassoTrace((), (state("a"),)),),
     Block: lambda: (tuple(["a", "b"]),),
+    QueryRecord: lambda: (parse_formula("a U b"), "SAT",
+                          LassoTrace((), (state("b"),)), 0.5),
+    SubsetAudit: lambda: (tuple(["a"]), True, LassoTrace((), (state("a"),))),
 }
 
 
@@ -137,9 +140,15 @@ class TestRecords:
         assert names == ("a", "b")
         assert (prefix, loop) == ((state("p"),), (state("a"),))
 
-    def test_mutable_records_are_unhashable(self):
+    def test_records_are_frozen_and_hash_by_their_fields(self):
         record = QueryRecord(parse_formula("a"), "UNSAT", None, 0.5)
-        record.millis = 1.0
-        assert record == QueryRecord(parse_formula("a"), "UNSAT", None, 1.0)
+        with pytest.raises(AttributeError):
+            record.millis = 1.0
+        assert hash(record) == hash(QueryRecord(parse_formula("a"), "UNSAT", None, 0.5))
+        # A record that holds a list refuses assignment but cannot hash,
+        # as a frozen dataclass that holds a list cannot.
+        result = PartitionResult([Block(("a",))], [record])
+        with pytest.raises(AttributeError):
+            result.blocks = []
         with pytest.raises(TypeError):
-            hash(record)
+            hash(result)

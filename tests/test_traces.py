@@ -175,6 +175,10 @@ class TestSerialization:
         tau = lasso([state("p", "a")], [state("p", "t'", "t")])
         assert format_trace(tau) == "{a, p} | {p, t, t'}"
 
+    def test_format_sorts_a_primed_atom_after_its_base_and_before_longer_names(self):
+        tau = lasso([], [state("ab", "a_", "a'", "a", "A")])
+        assert format_trace(tau) == "| {A, a, a', a_, ab}"
+
     def test_format_empty_prefix(self):
         tau = lasso([], [state(), state("a")])
         assert format_trace(tau) == "| {} ; {a}"
