@@ -32,10 +32,12 @@ def _parse_args(argv) -> argparse.Namespace:
         description="Decompose an LTL reactive-synthesis spec into "
                     "independent blocks of system variables.")
     parser.add_argument("input", type=Path, help="spec file to decompose")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="'text' (default): the report; 'json': one JSON object")
     parser.add_argument("--engine", default="internal",
                         help="'internal' (default) or 'external:<command>'")
-    parser.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP)
+    parser.add_argument("--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                        help="most tableau sides one solver query expands (default %(default)s)")
     parser.add_argument("--verify", action="store_true",
                         help="re-derive every block's independence query")
     parser.add_argument("--audit-minimality", action="store_true",

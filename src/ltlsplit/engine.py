@@ -1,27 +1,21 @@
 """LTL satisfiability with lasso witnesses.
 
-Pipeline: negation normal form, one children-first pass that builds each
-node in both polarities (``FALSE`` for a query that conjoins some !g with
-every conjunct of g) -> transition-based generalized Buchi automaton over
-next-obligation classes (``Gba``, a tableau over closure subsets as rank
-bitmasks) -> SCC-based emptiness check -> accepting lasso read back as a
-trace.  A class is one distinct next-obligation set, named by its bitmask;
-its transitions are the tableau's (old, next) expansions of the set, each
-into the class ``next``.  Classes are found only from the root class, the
-root formula's set, along transitions, so every class is reachable and
-emptiness needs no separate reachability pass.  A class is expanded on
-demand, when the emptiness walk or a lasso search first reaches it, and
-exploration stops at the first accepting SCC; ``Gba.explored`` is the one
-record of the expanded classes.  The tableau never builds a side of a
-split whose must-hold literals clash (``FALSE``, or an atom and its
-negation), as no leaf of it lives, and never splits a node whose branch
-the side already holds (syntactic implication, Daniele, Giunchiglia &
-Vardi, CAV 1999).  The state cap counts the tableau sides expanded per
-query.  Every Sat answer is self-checked against the queried formula
-before it is returned; a failure here is an engine bug, never a caller
-error.  The query protocol's server (``serve_stdin_queries``) and its errors
-live here; its client, ``ExternalSolver``, lives in ``ltlsplit.external``,
-the one module that starts processes.
+Pipeline: slicing (each conjunct !g of the query drops the conjuncts of g
+that the query asserts; ``FALSE`` when none is left) -> negation normal
+form, one children-first pass that builds each node in both polarities ->
+transition-based generalized Buchi automaton over next-obligation classes
+(``Gba``, a tableau over closure subsets as rank bitmasks), each class
+expanded when the emptiness walk first reaches it -> SCC-based emptiness
+check, which stops at the first accepting SCC -> accepting lasso read back
+as a trace.  The tableau never builds a side whose must-hold literals
+clash, and never splits a node whose branch the side already holds
+(syntactic implication, Daniele, Giunchiglia & Vardi, CAV 1999).  The
+state cap counts the tableau sides expanded per query.  Every Sat answer
+is self-checked against the queried formula before it is returned; a
+failure here is an engine bug, never a caller error.  The query protocol's
+server (``serve_stdin_queries``) and its errors live here; its client,
+``ExternalSolver``, lives in ``ltlsplit.external``, the one module that
+starts processes.
 """
 
 from __future__ import annotations
@@ -87,44 +81,74 @@ UNSAT = SatResult(None)
 _DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 
 
+def _parts(g: Formula) -> tuple[Formula, Formula] | None:
+    """The two conjuncts of ``x & y``, or ``G x`` and ``G y`` of ``G(x & y)``."""
+    if g.__class__ is And:
+        return g.left, g.right
+    if g.__class__ is Always and g.arg.__class__ is And:
+        return Always(g.arg.left), Always(g.arg.right)
+
+
 def _conjuncts(f: Formula) -> list[Formula]:
     """The top-level conjuncts of ``f``, with ``G`` distributed over ``&``."""
     out, stack = [], [f]
     while stack:
         g = stack.pop()
-        if g.__class__ is And:
-            stack += (g.left, g.right)
-        elif g.__class__ is Always and g.arg.__class__ is And:
-            stack += (Always(g.arg.left), Always(g.arg.right))
+        parts = _parts(g)
+        if parts:
+            stack += parts
         else:
             out.append(g)
     return out
 
 
-def _refuted(f: Formula) -> bool:
-    """Whether a conjunct of ``f`` is ``!g`` and every conjunct of g is one of f's,
-    with every locked ``z'`` read as z: a conjunct ``G(z <-> z')``, z unprimed,
-    locks z, and under it that reading keeps each conjunct's truth value."""
-    conj = _conjuncts(f)
+def _rebuilt(f: Formula, image: dict) -> Formula | None:
+    """``f`` with each of its conjuncts c replaced in place by ``image.get(c, c)``,
+    None dropping it, and None if all are; unchanged parts stay the same nodes."""
+    done, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        parts = _parts(g)
+        if parts is None:
+            done[g] = image.get(g, g)
+        elif parts[0] in done and parts[1] in done:
+            x, y = done[parts[0]], done[parts[1]]
+            done[g] = g if (x, y) == parts else y if x is None else x if y is None else And(x, y)
+        else:
+            stack += (g, *parts)
+    return done[f]
+
+
+def _sliced(f: Formula) -> Formula:
+    """``f`` with each conjunct ``!g`` made ``!rest`` in place, rest being g less f's conjuncts,
+    with z' read as z where a conjunct ``G(z <-> z')`` locks z; ``FALSE`` if some rest is empty."""
+    conj = seen = _conjuncts(f)
     locked = {c.arg.left.base for c in conj if c.__class__ is Always
               and c.arg.__class__ is Iff and c.arg.left.__class__ is Atom
               and c.arg is Iff(Atom(c.arg.left.base), Atom(c.arg.left.base, True))}
     if locked:
-        conj = _conjuncts(map_atoms(f, lambda a: Atom(a.base) if a.base in locked else a))
-    have = set(conj)
-    return any(c.__class__ is Not and have.issuperset(_conjuncts(c.arg)) for c in conj)
+        seen = _conjuncts(map_atoms(f, lambda a: Atom(a.base) if a.base in locked else a))
+    have = set(seen)
+    image = {}
+    for c, s in zip(conj, seen):
+        if s.__class__ is Not:
+            read = _conjuncts(s.arg)
+            if have.issuperset(read):
+                return FALSE
+            drop = [p for p, q in zip(_conjuncts(c.arg) if locked else read, read) if q in have]
+            image[c] = Not(_rebuilt(c.arg, dict.fromkeys(drop)))
+    return _rebuilt(f, image)
 
 
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
 
-    ``FALSE`` when ``_refuted(f)``.  Otherwise one pass over ``postorder(f)``,
-    children first, maps each node g to the pair (nnf(g), nnf(!g)), built
-    from its children's pairs.  The unique table hands back a node whose
-    children are already in NNF.
+    One pass over ``postorder(_sliced(f))``, children first, maps each node g
+    to the pair (nnf(g), nnf(!g)), built from its children's pairs; ``x & x``,
+    ``x | x``, ``x U x`` and ``x R x`` are x.  The unique table hands back a
+    node whose children are already in NNF.
     """
-    if _refuted(f):
-        return FALSE
+    f = _sliced(f)
     nnf: dict[Formula, tuple[Formula, Formula]] = {}
     for g in postorder(f):
         cls = g.__class__
@@ -148,7 +172,7 @@ def to_nnf(f: Formula) -> Formula:
             nnf[g] = Release(FALSE, a), Until(TRUE, na)
         elif cls in _DUAL:
             (a, na), (b, nb) = nnf[g.left], nnf[g.right]
-            nnf[g] = cls(a, b), _DUAL[cls](na, nb)
+            nnf[g] = (a, na) if a is b else (cls(a, b), _DUAL[cls](na, nb))
         elif cls is Implies:
             (a, na), (b, nb) = nnf[g.left], nnf[g.right]
             nnf[g] = Or(na, b), And(a, nb)

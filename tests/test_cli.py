@@ -296,7 +296,10 @@ class TestMain:
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == EXIT_OK
-        assert "usage: ltlsplit" in capsys.readouterr().out
+        out = " ".join(capsys.readouterr().out.split())     # as wrapped at any width
+        assert "usage: ltlsplit" in out
+        assert "most tableau sides one solver query expands (default 200000)" in out
+        assert "'json': one JSON object" in out
 
     def test_empty_sys_partition(self, tmp_path, capsys):
         path = write_spec(tmp_path, "none.spec", "env: p\nsys:\nformula: G p\n")

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+from functools import reduce
 
 import pytest
 
@@ -56,8 +57,10 @@ INTRO_PHI = parse_formula(
 
 # SHA-256 of ``print_formula(to_nnf(f))``, one line per formula, over the
 # formulas of ``TestNnf.test_output_is_pinned``; recorded at commit a8aa851,
-# before ``to_nnf`` became one pass, and kept by it.
-NNF_DIGEST = "fa3f571cd846edc1dacb617bdf081708e72d47d309d67be663eb24d529bf6c5f"
+# before ``to_nnf`` became one pass, and kept by it; re-recorded when
+# ``to_nnf`` began to slice each conjunct !g down to the conjuncts of g that
+# the query does not assert, and to build x for x & x, x | x, x U x and x R x.
+NNF_DIGEST = "0b09d27b354f50432f8733d3e511ce01e64388b22c8338be99edb185424ab7c7"
 
 
 class TestNnf:
@@ -79,6 +82,15 @@ class TestNnf:
 
     def test_double_negation(self):
         assert to_nnf(parse_formula("!!a")) == parse_formula("a")
+
+    @pytest.mark.parametrize("op", ["&", "|", "U", "R"])
+    def test_binary_node_of_one_child_is_that_child(self, op):
+        """``x & x``, ``x | x``, ``x U x`` and ``x R x`` are x, and their
+        negations are !x, so the tableau never splits such a node."""
+        x = parse_formula("p -> X q")
+        twice = parse_formula(f"(p -> X q) {op} (p -> X q)")
+        assert to_nnf(twice) == to_nnf(x)
+        assert to_nnf(Not(twice)) == to_nnf(Not(x))
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -173,6 +185,54 @@ class TestRefutation:
         assert res.is_sat
         assert eval_formula(res.witness, f, 0)
 
+    def test_sliced_queries_keep_their_verdict(self):
+        """Each conjunct !g drops the conjuncts of g that the query asserts:
+        over random conjunctions, some under one ``G``, W/Y splits and lock
+        sets, a sliced or refuted query has the verdict of the unsliced one
+        (an ``Or`` at the top hides the conjuncts), and where the engine finds
+        no model of a sliced one, the brute oracle finds no lasso of a small
+        shape either.  A query that runs out of budget is left out."""
+        rng = random.Random(25)
+        sliced = sat = capped = 0
+        for _ in range(600):
+            env, sys_ = ["p0", "p1"][:rng.randint(1, 2)], ["a0", "a1", "a2"][:rng.randint(2, 3)]
+            phi = reduce(And, [random_formula(rng, env + sys_, rng.randint(1, 3))
+                               for _ in range(rng.randint(2, 4))])
+            phi = Always(phi) if rng.random() < 0.3 else phi
+            names = list(sys_)
+            rng.shuffle(names)
+            cut = rng.randint(1, len(names) - 1)
+            q = dependence_query(phi, names[:cut], names[cut:])
+            for z in rng.choices(names[cut:], k=rng.randint(0, 2)):    # repeats lock twice
+                q = lock_conjunct(q, z)
+            if engine._sliced(q) is q:
+                continue
+            try:    # each witness is checked against q itself
+                result, unsliced = ltl_sat(q, 30_000), ltl_sat(Or(q, FALSE), 30_000)
+            except EngineLimitError:
+                capped += 1
+                continue
+            assert result.is_sat == unsliced.is_sat, print_formula(q)
+            if engine._sliced(q) is FALSE:
+                continue
+            sliced += 1
+            sat += result.is_sat
+            for shape in [(0, 1), (1, 1), (0, 2), (1, 2), (2, 1)]:
+                if not result.is_sat and len(atoms(q)) * sum(shape) <= 16:
+                    assert not bounded_sat(q, *shape).is_sat, (shape, print_formula(q))
+        assert sliced >= 60 and capped <= 2 and 10 < sat < sliced - 10
+
+    def test_deep_conjunctions_are_sliced_without_recursion(self):
+        """``a & a & ... & a``, 1,500 deep: its dependence query is refuted,
+        and next to a mixed conjunct ``a <-> b`` the whole chain is dropped
+        from the negated copy."""
+        chain = parse_formula(" & ".join(["a"] * 1500))
+        assert to_nnf(dependence_query(chain, ["a"], ["b"])) is FALSE
+        phi = And(chain, parse_formula("a <-> b"))
+        q = dependence_query(phi, ["a"], ["b"])
+        assert engine._sliced(q) == And(q.left, And(q.right.left, parse_formula("!(a <-> b)")))
+        assert not ltl_sat(q).is_sat
+
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_responses_split_into_singletons(self, n):
         """Each ``resp_n`` query holds every conjunct of phi next to !phi, so
@@ -255,8 +315,9 @@ class TestBuildGba:
         """The literals that ``X(a | a)`` must hold at position 1 do not count
         as held there, or the split of ``a | a`` would keep neither branch and
         leave ``a`` out of the guard."""
-        result = ltl_sat(parse_formula("X(a | a)"))
-        assert result.is_sat
+        f = parse_formula("X(a | a)")      # in NNF already; ``to_nnf`` would make it X a
+        result = find_accepting_lasso(build_gba(f))
+        assert result.is_sat and eval_formula(result.witness, f, 0)
         assert Atom("a") in result.witness.state_at(1)
 
     def test_guards_consistent(self):
@@ -363,14 +424,16 @@ class TestBuildGba:
 # recorded when the automaton moved to transitions over next-obligation
 # classes, re-recorded when ``to_nnf`` began to give ``FALSE`` (one class,
 # no transition) for a query whose conjuncts hold some !g next to all of g's,
-# and again when ``cover`` stopped splitting a node whose branch the side
-# already holds.
+# again when ``cover`` stopped splitting a node whose branch the side
+# already holds, and again when ``to_nnf`` began to slice each !g down to
+# the conjuncts of g that the query does not assert and to build x for
+# x & x, x | x, x U x and x R x.
 AUTOMATON_DIGESTS = {
-    "chain3": "df451d1b95e1d9925823ed128035205839fbbd200133da124b7ddc7e8ebdc59c",
-    "corpus": "284c05417c10d72937f3da12fc242ece7d6bc78d49fecf39d4d34586a51ff91e",
-    "intro": "9c3e7313bde59ab682c59df6149919113966268bc96cf2f29588263000107140",
-    "not_ind": "3facb37223a091c1bc1916ac6343f77b5bb9ed50cfb1b10673f6329199934ce4",
-    "pair": "bf49d5f9e7935dd0baea4a4b15e96323cd2e7412714ecd80c3a1058424d76984",
+    "chain3": "249ba69f357cbaf001008f69c49b60895ac7c0d0550e71f8b3dc0ba89bad2ebe",
+    "corpus": "d6643d14c90cc705a1f6a5f503ad27ebc311f7e589631d791b58278e9645ea0a",
+    "intro": "664194531dbed09f648e930a0911f73d6845a67db09ab5e39ef5013525d58add",
+    "not_ind": "5af63872e6e86451cb45119ba733c9fcfcd05bbd003cae5eed4e4261fce8bf6e",
+    "pair": "18756d35267d8b3f5e67d146028ca5b98cc047caa841f386e1b5f06c78201dd9",
     "resp3": "efb91cb03adf3e39942e7f60195f35aa8ed255eda45cdc44f41273b9f65414ce",
     "surprise": "72d20a82dff3b0e39b9a97522cbc258d123ad46a8e2e0d5a9b127ae7743db1ed",
     "tail": "24036498a4579f9480a22c7efd6c4161c942227252de391c852f2eeddd9bd287",
@@ -457,6 +520,35 @@ def test_partition_query_logs_are_pinned():
             for q in partition(spec).query_log:
                 digest.update(f"{q.verdict} {print_formula(q.formula)}\n".encode())
     assert digest.hexdigest() == QUERY_LOG_DIGEST
+
+
+# SHA-256 of the blocks, in order, and the printed query log and verdicts of
+# ``partition`` at cap 30,000 for all 201 raw draws of the corpus seeds
+# 20240817 and 7; a draw that runs out of budget (draw 93 of the first seed)
+# is one ``LIMIT`` line.  Recorded at commit 7c555f7, before each !g was
+# sliced down to the conjuncts of g that the query does not assert.
+WHOLE_CORPUS_DIGEST = "134edbde7ce710b64793027ce9e1dc1b547b9e3b148bf50a8167e4cfd44f2ca9"
+
+
+def test_whole_corpus_partitions_are_pinned():
+    """A change of the engine that keeps every verdict and every first
+    disagreeing variable keeps the blocks and the query sequence of every
+    corpus draw."""
+    digest = hashlib.sha256()
+    solver = InternalSolver(30_000)
+    for seed in (20240817, 7):
+        rng = random.Random(seed)
+        for i in range(201):
+            spec = random_spec(rng)
+            try:
+                result = partition(spec, solver)
+            except EngineLimitError:
+                digest.update(f"{seed} {i} LIMIT\n".encode())
+                continue
+            digest.update(f"{seed} {i} {[b.vars for b in result.blocks]}\n".encode())
+            for q in result.query_log:
+                digest.update(f"{q.verdict} {print_formula(q.formula)}\n".encode())
+    assert digest.hexdigest() == WHOLE_CORPUS_DIGEST
 
 
 def test_corpus_draw_93_exceeds_the_corpus_cap():
