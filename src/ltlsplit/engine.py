@@ -81,37 +81,34 @@ UNSAT = SatResult(None)
 _DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 
 
-def _parts(g: Formula) -> tuple[Formula, Formula] | None:
-    """The two conjuncts of ``x & y``, or ``G x`` and ``G y`` of ``G(x & y)``."""
-    if g.__class__ is And:
-        return g.left, g.right
-    if g.__class__ is Always and g.arg.__class__ is And:
-        return Always(g.arg.left), Always(g.arg.right)
-
-
 def _conjuncts(f: Formula) -> list[Formula]:
     """The top-level conjuncts of ``f``, with ``G`` distributed over ``&``."""
     out, stack = [], [f]
     while stack:
         g = stack.pop()
-        parts = _parts(g)
-        if parts:
-            stack += parts
+        if g.__class__ is And:
+            stack += (g.left, g.right)
+        elif g.__class__ is Always and g.arg.__class__ is And:
+            stack += (Always(g.arg.left), Always(g.arg.right))
         else:
             out.append(g)
     return out
 
 
 def _rebuilt(f: Formula, image: dict) -> Formula | None:
-    """``f`` with each of its conjuncts c replaced in place by ``image.get(c, c)``,
-    None dropping it, and None if all are; unchanged parts stay the same nodes."""
+    """``f`` with each conjunct c that ``_conjuncts`` lists replaced in place by
+    ``image.get(c, c)``, None dropping it, and None if all are; the rest kept as is."""
     done, stack = {}, [f]
     while stack:
         g = stack.pop()
-        parts = _parts(g)
-        if parts is None:
+        if g.__class__ is And:
+            parts = g.left, g.right
+        elif g.__class__ is Always and g.arg.__class__ is And:
+            parts = Always(g.arg.left), Always(g.arg.right)
+        else:
             done[g] = image.get(g, g)
-        elif parts[0] in done and parts[1] in done:
+            continue
+        if parts[0] in done and parts[1] in done:
             x, y = done[parts[0]], done[parts[1]]
             done[g] = g if (x, y) == parts else y if x is None else x if y is None else And(x, y)
         else:
@@ -136,19 +133,22 @@ def _sliced(f: Formula) -> Formula:
             if have.issuperset(read):
                 return FALSE
             drop = [p for p, q in zip(_conjuncts(c.arg) if locked else read, read) if q in have]
-            image[c] = Not(_rebuilt(c.arg, dict.fromkeys(drop)))
-    return _rebuilt(f, image)
+            if drop:
+                image[c] = Not(_rebuilt(c.arg, dict.fromkeys(drop)))
+    return _rebuilt(f, image) if image else f
 
 
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
 
-    One pass over ``postorder(_sliced(f))``, children first, maps each node g
-    to the pair (nnf(g), nnf(!g)), built from its children's pairs; ``x & x``,
-    ``x | x``, ``x U x`` and ``x R x`` are x.  The unique table hands back a
-    node whose children are already in NNF.
+    ``FALSE`` when ``_sliced(f)`` is; otherwise one pass over its postorder,
+    children first, maps each node g to the pair (nnf(g), nnf(!g)), built
+    from its children's pairs; ``x & x``, ``x | x``, ``x U x`` and ``x R x``
+    are x.  The unique table hands back a node whose children are in NNF.
     """
     f = _sliced(f)
+    if f is FALSE:
+        return f
     nnf: dict[Formula, tuple[Formula, Formula]] = {}
     for g in postorder(f):
         cls = g.__class__
