@@ -50,9 +50,11 @@ def check_independent(phi: Formula, w, s, solver=None) -> tuple[bool, LassoTrace
     Returns (independent, witness); the witness is a dependence
     counterexample when the query is satisfiable.
     """
+    solver = solver or InternalSolver()
     w = tuple(w)
-    rest = [v for v in s if v not in w]
-    result = (solver or InternalSolver()).solve(dependence_query(phi, w, rest))
+    taken = set(w)
+    rest = tuple(v for v in s if v not in taken)
+    result = solver.solve(dependence_query(phi, w, rest))
     return (not result.is_sat, result.witness)
 
 
@@ -154,7 +156,9 @@ def verify_partition(spec: Spec, result: PartitionResult, solver=None,
         if minimality:
             for size in range(1, len(block.vars)):
                 for subset in combinations(block.vars, size):
-                    independent, witness = check_independent(phi, subset, spec.sys, solver)
-                    audit.minimality.append(SubsetAudit(subset, not independent, witness))
+                    independent, witness = check_independent(
+                        phi, subset, spec.sys, solver)
+                    audit.minimality.append(
+                        SubsetAudit(subset, not independent, witness))
         audits.append(audit)
     return VerificationReport(audits)

@@ -1,21 +1,28 @@
 """LTL satisfiability with lasso witnesses.
 
-Pipeline: slicing (each conjunct !g of the query drops the conjuncts of g
-that the query asserts; ``FALSE`` when none is left) -> negation normal
-form, one children-first pass that builds each node in both polarities ->
+Pipeline: negation normal form, one children-first pass that builds each
+node in both polarities (each conjunct !g of the query first drops the
+conjuncts of g that the query asserts; ``FALSE`` when none is left) ->
 transition-based generalized Buchi automaton over next-obligation classes
-(``Gba``, a tableau over closure subsets as rank bitmasks), each class
-expanded when the emptiness walk first reaches it -> SCC-based emptiness
-check, which stops at the first accepting SCC -> accepting lasso read back
-as a trace.  The tableau never builds a side whose must-hold literals
-clash, and never splits a node whose branch the side already holds
-(syntactic implication, Daniele, Giunchiglia & Vardi, CAV 1999).  The
-state cap counts the tableau sides expanded per query.  Every Sat answer
-is self-checked against the queried formula before it is returned; a
-failure here is an engine bug, never a caller error.  The query protocol's
-server (``serve_stdin_queries``) and its errors live here; its client,
-``ExternalSolver``, lives in ``ltlsplit.external``, the one module that
-starts processes.
+(``Gba``, a tableau over closure subsets as rank bitmasks) -> SCC-based
+emptiness check -> accepting lasso read back as a trace.  A class is one
+distinct next-obligation set, named by its bitmask; its transitions are
+the tableau's (old, next) expansions of the set, each into the class
+``next``.  Classes are found only from the root class, the root formula's
+set, along transitions, so every class is reachable and emptiness needs
+no separate reachability pass.  A class is expanded on demand, when the
+emptiness walk or a lasso search first reaches it, and exploration stops
+at the first accepting SCC; ``Gba.explored`` is the one record of the
+expanded classes.  The tableau never builds a side of a split whose
+must-hold literals clash (``FALSE``, or an atom and its negation), as no
+leaf of it lives, and never splits a node whose branch the side already
+holds (syntactic implication, Daniele, Giunchiglia & Vardi, CAV 1999).
+The state cap counts the tableau sides expanded per query.  Every Sat
+answer is self-checked against the queried formula before it is
+returned; a failure here is an engine bug, never a caller error.  The
+query protocol's server (``serve_stdin_queries``) and its errors live
+here; its client, ``ExternalSolver``, lives in ``ltlsplit.external``, the
+one module that starts processes.
 """
 
 from __future__ import annotations
@@ -81,24 +88,10 @@ UNSAT = SatResult(None)
 _DUAL = {And: Or, Or: And, Until: Release, Release: Until}
 
 
-def _conjuncts(f: Formula) -> list[Formula]:
-    """The top-level conjuncts of ``f``, with ``G`` distributed over ``&``."""
+def _conjuncts(f: Formula, splits: dict | None = None) -> list[Formula]:
+    """The top-level conjuncts of ``f``, with ``G`` distributed over ``&``;
+    each node split on the way goes into ``splits``, if given, with its two parts."""
     out, stack = [], [f]
-    while stack:
-        g = stack.pop()
-        if g.__class__ is And:
-            stack += (g.left, g.right)
-        elif g.__class__ is Always and g.arg.__class__ is And:
-            stack += (Always(g.arg.left), Always(g.arg.right))
-        else:
-            out.append(g)
-    return out
-
-
-def _rebuilt(f: Formula, image: dict) -> Formula | None:
-    """``f`` with each conjunct c that ``_conjuncts`` lists replaced in place by
-    ``image.get(c, c)``, None dropping it, and None if all are; the rest kept as is."""
-    done, stack = {}, [f]
     while stack:
         g = stack.pop()
         if g.__class__ is And:
@@ -106,14 +99,24 @@ def _rebuilt(f: Formula, image: dict) -> Formula | None:
         elif g.__class__ is Always and g.arg.__class__ is And:
             parts = Always(g.arg.left), Always(g.arg.right)
         else:
-            done[g] = image.get(g, g)
+            out.append(g)
             continue
-        if parts[0] in done and parts[1] in done:
-            x, y = done[parts[0]], done[parts[1]]
-            done[g] = g if (x, y) == parts else y if x is None else x if y is None else And(x, y)
-        else:
-            stack += (g, *parts)
-    return done[f]
+        stack += parts
+        if splits is not None:
+            splits[g] = parts
+    return out
+
+
+def _rebuilt(f: Formula, image: dict) -> Formula | None:
+    """``f`` with each of its conjuncts c replaced in place by ``image.get(c, c)``,
+    None dropping it, and None if all are; the rest kept as is."""
+    splits = {}
+    _conjuncts(f, splits)
+    done = dict(image)
+    for g, parts in reversed(splits.items()):     # each node after its parts
+        x, y = (done.get(p, p) for p in parts)
+        done[g] = g if (x, y) == parts else y if x is None else x if y is None else And(x, y)
+    return done.get(f, f)
 
 
 def _sliced(f: Formula) -> Formula:

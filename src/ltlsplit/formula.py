@@ -261,7 +261,8 @@ def dependence_query(phi: Formula, w: Iterable[str], y: Iterable[str]) -> Formul
     Builds the conjunction of the two projection renamings of ``phi``
     (over ``w`` and over ``y``) with the negation of ``phi`` itself.
     """
-    w, y = tuple(w), tuple(y)
+    w = tuple(w)
+    y = tuple(y)
     if set(w) & set(y):
         raise ValueError("projection variable sets must be disjoint")
     return And(rename_projection(phi, w), And(rename_projection(phi, y), Not(phi)))

@@ -38,7 +38,13 @@ _NAME_RE = re.compile(f"{_IDENT_RE.pattern}'?")     # an atom, at most once prim
 
 def state(*names: str) -> State:
     """Convenience constructor: ``state("p", "a'")`` builds a trace state."""
-    return frozenset(Atom(name.removesuffix("'"), name.endswith("'")) for name in names)
+    out = set()
+    for name in names:
+        if name.endswith("'"):
+            out.add(Atom(name[:-1], True))
+        else:
+            out.add(Atom(name))
+    return frozenset(out)
 
 
 class LassoTrace(Record):

@@ -259,7 +259,7 @@ class TestMain:
 
     @pytest.mark.parametrize("formula", [
         "(" * 1000 + "a" + ")" * 1000,
-        " & ".join(["a"] * 1500),
+        " & ".join(["a", "X a"] * 750),
         "X " * 5000 + "a",
         "!" * 5001 + "a",
     ], ids=["parens1000", "conj1500", "next5000", "not5001"])

@@ -223,15 +223,20 @@ class TestRefutation:
         assert sliced >= 60 and capped <= 2 and 10 < sat < sliced - 10
 
     def test_deep_conjunctions_are_sliced_without_recursion(self):
-        """``a & a & ... & a``, 1,500 deep: its dependence query is refuted,
+        """``a & X a & a & ...``, 1,500 deep: its dependence query is refuted,
         and next to a mixed conjunct ``a <-> b`` the whole chain is dropped
-        from the negated copy."""
-        chain = parse_formula(" & ".join(["a"] * 1500))
+        from the negated copy.  In ``a & (a | b) & a & ...`` only the 750
+        mixed conjuncts stay, still nested as in phi."""
+        chain = parse_formula(" & ".join(["a", "X a"] * 750))
         assert to_nnf(dependence_query(chain, ["a"], ["b"])) is FALSE
         phi = And(chain, parse_formula("a <-> b"))
         q = dependence_query(phi, ["a"], ["b"])
         assert engine._sliced(q) == And(q.left, And(q.right.left, parse_formula("!(a <-> b)")))
         assert not ltl_sat(q).is_sat
+        q = dependence_query(parse_formula(" & ".join(["a", "(a | b)"] * 750)), ["a"], ["b"])
+        rest = parse_formula(" & ".join(["(a | b)"] * 750))
+        assert engine._sliced(q) == And(q.left, And(q.right.left, Not(rest)))
+        assert to_nnf(q).right.right is to_nnf(Not(rest))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_responses_split_into_singletons(self, n):

@@ -156,17 +156,19 @@ class TestPrinting:
         assert print_formula(Next(Eventually(A("a")))) == "X F a"
 
 
-def _chain(unit: str, n: int) -> str:
-    """The printed right fold ``(u & (u & ... u))`` of ``n`` copies of ``unit``."""
-    return f"({unit} & " * (n - 1) + unit + ")" * (n - 1)
+def _chain(units: list[str], op: str = "&") -> str:
+    """The printed right fold ``(u1 op (u2 op ... un))`` of ``units``."""
+    return "".join(f"({unit} {op} " for unit in units[:-1]) + units[-1] + ")" * (len(units) - 1)
 
 
-# Source text, its printed form, and the printed NNF of its negation (for
-# conj1500 just !a, as x | x is x).  Each source nests far deeper than the
-# interpreter's default recursion limit of 1,000.
+# Source text, its printed form, and the printed NNF of its negation.  Both
+# nest far deeper than the interpreter's default recursion limit of 1,000.
+# conj1500 alternates a and X a so that no conjunction is x & x, which
+# to_nnf would fold to x: its NNF and automaton stay 1,500 conjuncts deep.
 DEEP = {
     "next5000": ("X " * 5000 + "a", "X " * 5000 + "a", "X " * 5000 + "!a"),
-    "conj1500": (" & ".join(["a"] * 1500), _chain("a", 1500), "!a"),
+    "conj1500": (" & ".join(["a", "X a"] * 750), _chain(["a", "X a"] * 750),
+                 _chain(["!a", "X !a"] * 750, "|")),
 }
 
 
