@@ -2,18 +2,20 @@
 
 Pipeline: negation normal form, one children-first pass that builds each
 node in both polarities (each conjunct !g of the query first drops the
-conjuncts of g that the query asserts; ``FALSE`` when none is left) ->
-transition-based generalized Buchi automaton over next-obligation classes
-(``Gba``, a tableau over closure subsets as rank bitmasks) -> SCC-based
-emptiness check -> accepting lasso read back as a trace.  A class is one
-distinct next-obligation set, named by its bitmask; its transitions are
-the tableau's (old, next) expansions of the set, each into the class
+conjuncts of g that the query asserts; ``FALSE``, answered Unsat with no
+automaton, when none is left) -> transition-based generalized Buchi
+automaton over next-obligation classes (``Gba``, a tableau over closure
+subsets as rank bitmasks) -> Couvreur's on-the-fly emptiness check ->
+accepting lasso read back as a trace.  A class is one distinct
+next-obligation set, named by its bitmask; its transitions are the
+tableau's (old, next) expansions of the set, each into the class
 ``next``.  Classes are found only from the root class, the root formula's
 set, along transitions, so every class is reachable and emptiness needs
 no separate reachability pass.  A class is expanded on demand, when the
-emptiness walk or a lasso search first reaches it, and exploration stops
-at the first accepting SCC; ``Gba.explored`` is the one record of the
-expanded classes.  The tableau never builds a side of a split whose
+emptiness walk first reaches it.  The walk stops at the first accepting
+partial SCC, and the lasso is read from the classes it visited, so no
+other class is built; ``Gba.explored`` is the one record of the expanded
+classes.  The tableau never builds a side of a split whose
 must-hold literals clash (``FALSE``, or an atom and its negation), as no
 leaf of it lives, and never splits a node whose branch the side already
 holds (syntactic implication, Daniele, Giunchiglia & Vardi, CAV 1999).
@@ -27,9 +29,6 @@ one module that starts processes.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from functools import reduce
-from operator import or_
 from types import SimpleNamespace
 
 from .formula import (
@@ -371,51 +370,51 @@ def _ids(mask: int) -> list[int]:
 
 build_gba = Gba     # the automaton of an NNF formula, no class expanded yet
 
-_OFF_STACK = float("inf")   # above every Tarjan index
 
-
-def _sccs(gba: Gba) -> Iterator[list[int]]:
-    """Tarjan's algorithm, iterative, over the classes from the root class,
-    each expanded when the walk first reaches it; each SCC as it closes."""
-    index: dict[int, float] = {}
-    low: dict[int, float] = {}
-    stack: list[int] = []
-    work = [(gba.root, None)]
+def _accepting_component(gba: Gba) -> tuple[set[int], dict[int, int]] | None:
+    """Couvreur's walk, iterative, from the root class, expanding each class
+    it reaches: a stack of SCC roots, each with its live-stack position, the
+    acceptance bits of the transition into it and those of its partial SCC's
+    internal transitions.  A transition to a live class merges the roots above
+    that class into the one below; once that root's internal bits are ``full``,
+    returns its open component (the live stack from it up) and every visited
+    class (mapped to its live position, -1 once its SCC closed).  None if no
+    SCC accepts."""
+    pos = {gba.root: 0}
+    live = [gba.root]
+    roots = [[0, 0, 0]]     # [position on live, bits of the transition in, internal bits]
+    work = [(gba.root, iter(gba.succ(gba.root)))]
     while work:
         v, succ = work[-1]
-        if succ is None:            # first visit: number v, then walk its transitions
-            index[v] = low[v] = len(index)
-            stack.append(v)
-            succ = iter(gba.succ(v))
-            work[-1] = v, succ
-        for _, _, w in succ:
-            i = index.get(w)
+        for _, acc, w in succ:
+            i = pos.get(w)
             if i is None:
-                work.append((w, None))
+                pos[w] = len(live)
+                roots.append([len(live), acc, 0])
+                live.append(w)
+                work.append((w, iter(gba.succ(w))))
                 break
-            if i < low[v]:
-                low[v] = i
+            if i >= 0:      # w is live: the roots above it join its component
+                while roots[-1][0] > i:
+                    _, arc, bits = roots.pop()
+                    acc |= arc | bits
+                roots[-1][2] |= acc
+                if roots[-1][2] == gba.full:
+                    return set(live[roots[-1][0]:]), pos
         else:
             work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    index[w] = _OFF_STACK   # transitions to w no longer lower low
-                    comp.append(w)
-                    if w == v:
-                        break
-                yield comp
-            if work:
-                u, _ = work[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
+            r = pos[v]
+            if roots[-1][0] == r:   # v's SCC is closed and does not accept
+                roots.pop()
+                for w in live[r:]:
+                    pos[w] = -1
+                del live[r:]
+    return None
 
 
 def _bfs(gba: Gba, start: int, inside, goal) -> list[tuple[int, int, int]]:
     """A shortest path of one or more transitions from class ``start`` to one that
-    meets ``goal``, every transition ending in ``inside`` (anywhere if None); ties
-    go by ``succ`` order."""
+    meets ``goal``, every transition ending in ``inside``; ties go by ``succ`` order."""
     parent: dict[int, tuple | None] = {start: None}     # class -> (class, transition) into it
     frontier = [start]
     while frontier:
@@ -423,7 +422,7 @@ def _bfs(gba: Gba, start: int, inside, goal) -> list[tuple[int, int, int]]:
         for v in frontier:
             for t in gba.succ(v):
                 w = t[2]
-                if inside is not None and w not in inside:
+                if w not in inside:
                     continue
                 if goal(t):
                     path = [t]
@@ -440,25 +439,21 @@ def _bfs(gba: Gba, start: int, inside, goal) -> list[tuple[int, int, int]]:
 
 
 def find_accepting_lasso(gba: Gba) -> SatResult:
-    """Unsat iff no SCC has an internal transition and internal transitions
-    whose acceptance bits together are ``full``.
+    """Unsat iff no SCC has internal transitions whose acceptance bits
+    together are ``full`` (at least one transition, even when ``full`` is 0).
 
-    Otherwise returns a lasso read off the guards of a path from the root
-    class into the first such SCC and of a cycle there through every
-    acceptance bit; atoms a guard leaves free are false.  The walk stops at
-    that SCC, and a class is expanded only when the walk or a lasso search
-    reaches it, so classes past the SCC are never built.  Raises
-    ``EngineLimitError`` once the expansions pass the state cap.
+    Otherwise a lasso read off the guards of a path from the root class,
+    through classes the walk visited, into the component that
+    ``_accepting_component`` stops at, and of a cycle inside it through every
+    acceptance bit; atoms a guard leaves free are false.  So no class past
+    the walk is built.  Raises ``EngineLimitError`` once the expansions pass
+    the state cap.
     """
-    for comp in _sccs(gba):
-        inside = set(comp)
-        marks = [acc for v in comp for _, acc, w in gba.succ(v) if w in inside]
-        if marks and reduce(or_, marks) == gba.full:
-            break
-    else:
+    found = _accepting_component(gba)
+    if found is None:
         return UNSAT
-
-    prefix = [] if gba.root in inside else _bfs(gba, gba.root, None, lambda t: t[2] in inside)
+    inside, visited = found
+    prefix = [] if gba.root in inside else _bfs(gba, gba.root, visited, lambda t: t[2] in inside)
     start = cur = prefix[-1][2] if prefix else gba.root
     cycle: list[tuple[int, int, int]] = []
     missing = gba.full
@@ -477,8 +472,12 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
 
 
 def ltl_sat(f: Formula, state_cap: int = DEFAULT_STATE_CAP) -> SatResult:
-    """Decide satisfiability of ``f`` and produce a self-checked witness."""
-    result = find_accepting_lasso(build_gba(to_nnf(f), state_cap))
+    """Decide satisfiability of ``f`` and produce a self-checked witness; Unsat
+    at once when ``to_nnf`` refutes ``f``, with no automaton built."""
+    nnf = to_nnf(f)
+    if nnf is FALSE:
+        return UNSAT
+    result = find_accepting_lasso(build_gba(nnf, state_cap))
     if result.is_sat and not eval_formula(result.witness, f, 0):
         raise WitnessSoundnessError(
             f"internal witness fails self-check for {print_formula(f)}")

@@ -1,20 +1,25 @@
 """Command-line behavior: flags, output formats, exit codes, evidence logs."""
 
+import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ltlsplit
 from ltlsplit import InternalSolver, cli
 from ltlsplit.cli import EXIT_AUDIT, EXIT_ENGINE, EXIT_INPUT, EXIT_OK, main
 from ltlsplit.decompose import InvariantViolation
 from ltlsplit.engine import DEFAULT_STATE_CAP, WitnessSoundnessError
-from helpers import spec_text
+from ltlsplit.formula import print_formula
+from helpers import random_spec, spec_text
 
 
 @pytest.fixture
@@ -209,16 +214,16 @@ class TestMain:
 
     def test_audit_budget_exhaustion(self, tmp_path):
         # Draw 92 of the seeded corpus (seed 20240817).  Its largest partition
-        # query expands 408 tableau sides, but the minimality audit's query
-        # for {a1} needs 457, so at 430 the cap runs out inside the audit:
+        # query expands 352 tableau sides, but the minimality audit's query
+        # for {a1} needs 394, so at 380 the cap runs out inside the audit:
         # an engine limit, not a failed audit.
         path = write_spec(tmp_path, "d92.spec",
                           "env: p0\nsys: a0 a1\nformula: (a1 U (a0 | ((F a0 & (a0 | p0)) & G p0)))\n")
-        proc = run_cli(path, "--state-cap", "430", "--verify", "--audit-minimality")
+        proc = run_cli(path, "--state-cap", "380", "--verify", "--audit-minimality")
         assert proc.returncode == EXIT_ENGINE
-        assert proc.stderr == "error: tableau exceeded the state cap of 430\n"
+        assert proc.stderr == "error: tableau exceeded the state cap of 380\n"
         assert "FAIL" not in proc.stdout
-        assert run_cli(path, "--state-cap", "457", "--verify", "--audit-minimality").returncode == EXIT_OK
+        assert run_cli(path, "--state-cap", "394", "--verify", "--audit-minimality").returncode == EXIT_OK
 
     @pytest.mark.parametrize("serve_args, code", [("", EXIT_OK), (", state_cap=2", EXIT_ENGINE)],
                              ids=["ok", "limit"])
@@ -306,3 +311,42 @@ class TestMain:
         assert main([str(path), "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["blocks"] == []
+
+
+# Spec texts for the exit-code guarantee: token soup over the spec grammar's
+# words and a few stray characters, seeded random corpus specs, half of them
+# with one token spliced in at a random place, and raw bytes.
+_TOKENS = ["env:", "sys:", "formula:", "p", "q", "a0", "a1", "a0'", "true", "false", "G", "F",
+           "X", "U", "R", "(", ")", "&", "|", "!", "->", "<->", ":", "#", "'", "\u00e9", "\x00",
+           " ", "\t", "\n"]
+
+
+def _spliced(rng, i, token):
+    spec = random_spec(rng)
+    text = (f"env: {' '.join(spec.env)}\nsys: {' '.join(spec.sys)}\n"
+            f"formula: {print_formula(spec.formula)}\n")
+    return (text[:i] + token + text[i:]).encode()
+
+
+_spec_texts = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=30).map(lambda ts: "".join(ts).encode()),
+    st.builds(_spliced, st.integers(0, 2 ** 32).map(random.Random), st.integers(0, 200),
+              st.one_of(st.just(""), st.sampled_from(_TOKENS))),
+    st.binary(max_size=60))
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_spec_texts, cap=st.one_of(st.integers(1, 40), st.integers(-1, 2000)),
+       flags=st.lists(st.sampled_from(["--verify", "--audit-minimality", "--log-queries",
+                                       "--quiet", "--format=json"]), unique=True))
+def test_every_spec_text_ends_with_an_exit_code(tmp_path, text, cap, flags):
+    """Whatever the input and however small the state cap, the CLI ends with
+    exit 0-3, never with a traceback."""
+    path = tmp_path / "fuzz.spec"
+    path.write_bytes(text)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main([str(path), "--state-cap", str(cap), *flags])
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_ENGINE, EXIT_AUDIT)
+    assert "Traceback" not in err.getvalue()
