@@ -1,12 +1,13 @@
 """LTL satisfiability with lasso witnesses.
 
 Pipeline: negation normal form, one children-first pass that builds each
-node in both polarities (each conjunct !g of the query first drops the
-conjuncts of g that the query asserts; ``FALSE``, answered Unsat with no
-automaton, when none is left) -> transition-based generalized Buchi
-automaton over next-obligation classes (``Gba``, a tableau over closure
-subsets as rank bitmasks) -> Couvreur's on-the-fly emptiness check ->
-accepting lasso read back as a trace.  A class is one distinct
+node in both polarities, reads ``x -> x`` and ``x <-> x`` as ``TRUE`` and
+carries ``TRUE`` and ``FALSE`` through the nodes it builds (each conjunct
+!g of the query first drops the conjuncts of g that the query asserts;
+``FALSE``, answered Unsat with no automaton, when none is left) ->
+transition-based generalized Buchi automaton over next-obligation classes
+(``Gba``, a tableau over closure subsets as rank bitmasks) -> Couvreur's
+on-the-fly emptiness check -> accepting lasso read back as a trace.  A class is one distinct
 next-obligation set, named by its bitmask; its transitions are the
 tableau's (old, next) expansions of the set, each into the class
 ``next``.  Classes are found only from the root class, the root formula's
@@ -17,8 +18,12 @@ partial SCC, and the lasso is read from the classes it visited, so no
 other class is built; ``Gba.explored`` is the one record of the expanded
 classes.  The tableau never builds a side of a split whose
 must-hold literals clash (``FALSE``, or an atom and its negation), as no
-leaf of it lives, and never splits a node whose branch the side already
-holds (syntactic implication, Daniele, Giunchiglia & Vardi, CAV 1999).
+leaf of it lives, drops a side once the must-hold literals of its next
+obligations clash, as each of its leaves would lead to a class with no
+transition, on no run, and never splits a node whose branch the side
+already holds (syntactic implication, Daniele, Giunchiglia & Vardi, CAV
+1999).  Dropping a transition into a class with none moves no other
+transition, so the walk, the lasso and every witness stay as they were.
 The state cap counts the tableau sides expanded per query.  Every Sat
 answer is self-checked against the queried formula before it is
 returned; a failure here is an engine bug, never a caller error.  The
@@ -140,13 +145,33 @@ def _sliced(f: Formula) -> Formula:
     return _rebuilt(f, image) if image else f
 
 
+_UNIT = {And: TRUE, Or: FALSE, Until: FALSE, Release: TRUE}     # cls(unit, b) is b
+
+
+def _node(cls, a: Formula, b: Formula) -> Formula:
+    """``cls(a, b)`` for ``&``, ``|``, ``U`` or ``R``, with ``x op x`` read as x
+    and ``TRUE`` and ``FALSE`` carried through."""
+    if cls is And or cls is Or:
+        if a is TRUE or a is FALSE:
+            a, b = b, a
+        if b is _UNIT[cls]:
+            return a
+        if b is TRUE or b is FALSE:
+            return b
+    elif a is _UNIT[cls] or b is TRUE or b is FALSE:
+        return b
+    return a if a is b else cls(a, b)
+
+
 def to_nnf(f: Formula) -> Formula:
     """Push negation to atoms; desugar ->, <->, F, G into |, &, U, R.
 
     ``FALSE`` when ``_sliced(f)`` is; otherwise one pass over its postorder,
     children first, maps each node g to the pair (nnf(g), nnf(!g)), built
     from its children's pairs; ``x & x``, ``x | x``, ``x U x`` and ``x R x``
-    are x.  The unique table hands back a node whose children are in NNF.
+    are x, ``x -> x`` and ``x <-> x`` are ``TRUE``, and every node built
+    carries ``TRUE`` and ``FALSE`` through (``_node``).  The unique table
+    hands back a node whose children are in NNF.
     """
     f = _sliced(f)
     if f is FALSE:
@@ -165,22 +190,25 @@ def to_nnf(f: Formula) -> Formula:
             nnf[g] = na, a
         elif cls is Next:
             a, na = nnf[g.arg]
-            nnf[g] = Next(a), Next(na)
+            nnf[g] = (a, na) if a is TRUE or a is FALSE else (Next(a), Next(na))
         elif cls is Eventually:
             a, na = nnf[g.arg]
-            nnf[g] = Until(TRUE, a), Release(FALSE, na)
+            nnf[g] = _node(Until, TRUE, a), _node(Release, FALSE, na)
         elif cls is Always:
             a, na = nnf[g.arg]
-            nnf[g] = Release(FALSE, a), Until(TRUE, na)
+            nnf[g] = _node(Release, FALSE, a), _node(Until, TRUE, na)
         elif cls in _DUAL:
             (a, na), (b, nb) = nnf[g.left], nnf[g.right]
-            nnf[g] = (a, na) if a is b else (cls(a, b), _DUAL[cls](na, nb))
-        elif cls is Implies:
+            nnf[g] = _node(cls, a, b), _node(_DUAL[cls], na, nb)
+        elif cls is Implies or cls is Iff:
             (a, na), (b, nb) = nnf[g.left], nnf[g.right]
-            nnf[g] = Or(na, b), And(a, nb)
-        elif cls is Iff:
-            (a, na), (b, nb) = nnf[g.left], nnf[g.right]
-            nnf[g] = Or(And(a, b), And(na, nb)), Or(And(a, nb), And(na, b))
+            if a is b:
+                nnf[g] = TRUE, FALSE
+            elif cls is Implies:
+                nnf[g] = _node(Or, na, b), _node(And, a, nb)
+            else:
+                nnf[g] = (_node(Or, _node(And, a, b), _node(And, na, nb)),
+                          _node(Or, _node(And, a, nb), _node(And, na, b)))
         else:
             raise TypeError(f"unknown formula node {g!r}")
     return nnf[f][0]
@@ -202,7 +230,10 @@ class Gba:
     is ``FALSE``'s, which is also its ``bad``; ``&`` takes the union, ``R``
     its right side's, ``|`` and ``U`` the intersection, or the other side's
     when one side is dead (``must & bad`` nonzero).  ``cover`` never builds
-    a dead side, which leaves the automaton unchanged.
+    a dead side, which leaves the automaton unchanged, nor a transition
+    into a class whose obligations are dead together, since that class has
+    no transition: the walk only closed it as a trivial SCC, and no lasso
+    passes through it, so every run and witness stays as it was.
 
     A class is one distinct next-obligation set, named by its bitmask;
     ``root`` is the set of the root formula alone.  ``succ(v)`` expands
@@ -293,11 +324,14 @@ class Gba:
     def cover(self, obligations: int) -> dict[tuple[int, int], None]:
         """All distinct (old, next) expansions of the obligation set, in order.
 
-        A pending side is (new, old, next, need, forbid): an id stack, and
-        bitmasks where ``need`` ORs the ``must`` and ``forbid`` the ``bad`` of
-        every obligation pushed.  Every leaf of the side holds ``need``, so a
-        side whose ``need`` meets ``forbid`` has no leaf that lives and is not
-        built.  A branch is held when its node is in ``old`` or ``new``; the
+        A pending side is (new, old, next, need, forbid, later, never): an id
+        stack, and bitmasks where ``need`` ORs the ``must`` and ``forbid`` the
+        ``bad`` of every obligation pushed, and ``later`` and ``never`` those
+        of every obligation put into ``next``.  Every leaf of the side holds
+        ``need``, so a side whose ``need`` meets ``forbid`` has no leaf that
+        lives and is not built.  A side whose ``later`` meets ``never`` is
+        dropped: its ``next`` fails this very entry check, so each of its
+        leaves would be a transition into a class with none.  A branch is held when its node is in ``old`` or ``new``; the
         ``must`` bits in ``need`` are not held, as a node's own are among them.
         An ``Or`` with a held branch, or an ``Until`` with a held right side,
         is not split, and a ``Release`` with a held left side is its right
@@ -313,12 +347,12 @@ class Gba:
         need = forbid = 0
         for g in new:
             need, forbid = need | must[g], forbid | bad[g]
-        pending = [] if need & forbid else [(new, 0, 0, need, forbid)]
+        pending = [] if need & forbid else [(new, 0, 0, need, forbid, 0, 0)]
         while pending:
             sides += 1
             if sides > cap:
                 raise EngineLimitError(f"tableau exceeded the state cap of {cap}")
-            new, old, nxt, need, forbid = pending.pop()
+            new, old, nxt, need, forbid, later, never = pending.pop()
             while new:
                 g = new.pop()
                 bit = 1 << g
@@ -330,14 +364,20 @@ class Gba:
                     new.append(left[g])
                     new.append(right[g])
                 elif k is Next:
-                    nxt |= 1 << left[g]
+                    a = left[g]
+                    nxt, later, never = nxt | 1 << a, later | must[a], never | bad[a]
+                    if later & never:
+                        break
                 elif k is Release:  # a R b == b & (a | X(a R b)); b is in need
                     a, b = left[g], right[g]
                     if not (old >> a & 1 or a in new):  # a held: a R b is b here
                         side_need, side_forbid = need | must[a], forbid | bad[a]
                         if not side_need & side_forbid:
-                            pending.append((new + [a, b], old, nxt, side_need, side_forbid))
-                        nxt |= bit
+                            pending.append((new + [a, b], old, nxt, side_need, side_forbid,
+                                            later, never))
+                        nxt, later, never = nxt | bit, later | must[g], never | bad[g]
+                        if later & never:
+                            break
                     new.append(b)
                 elif k is Or or k is Until:  # a | b, and a U b == b | (a & X(a U b))
                     a, b = left[g], right[g]
@@ -345,13 +385,15 @@ class Gba:
                         continue    # a held branch: g holds with it, unsplit
                     side_need, side_forbid = need | must[b], forbid | bad[b]
                     if not side_need & side_forbid:
-                        pending.append((new + [b], old, nxt, side_need, side_forbid))
+                        pending.append((new + [b], old, nxt, side_need, side_forbid, later, never))
                     need, forbid = need | must[a], forbid | bad[a]
                     if need & forbid:
                         break
                     new.append(a)
                     if k is Until:
-                        nxt |= bit
+                        nxt, later, never = nxt | bit, later | must[g], never | bad[g]
+                        if later & never:
+                            break
             else:
                 results[old, nxt] = None
         self.sides = sides
