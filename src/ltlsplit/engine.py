@@ -7,12 +7,12 @@ carries ``TRUE`` and ``FALSE`` through the nodes it builds (each conjunct
 ``FALSE``, answered Unsat with no automaton, when none is left) ->
 transition-based generalized Buchi automaton over next-obligation classes
 (``Gba``, a tableau over closure subsets as rank bitmasks) -> Couvreur's
-on-the-fly emptiness check -> accepting lasso read back as a trace.  A class is one distinct
-next-obligation set, named by its bitmask; its transitions are the
-tableau's (old, next) expansions of the set, each into the class
-``next``.  Classes are found only from the root class, the root formula's
-set, along transitions, so every class is reachable and emptiness needs
-no separate reachability pass.  A class is expanded on demand, when the
+on-the-fly emptiness check -> accepting lasso read back as a trace.  A
+class is one distinct next-obligation set, named by its bitmask; its
+transitions are the tableau's (old, next) expansions of the set, each
+into the class ``next``.  Classes are found only from the root class,
+the root formula's set, along transitions, so every class is reachable
+and emptiness needs no separate reachability pass.  A class is expanded on demand, when the
 emptiness walk first reaches it.  The walk stops at the first accepting
 partial SCC, and the lasso is read from the classes it visited, so no
 other class is built; ``Gba.explored`` is the one record of the expanded
@@ -231,9 +231,8 @@ class Gba:
     its right side's, ``|`` and ``U`` the intersection, or the other side's
     when one side is dead (``must & bad`` nonzero).  ``cover`` never builds
     a dead side, which leaves the automaton unchanged, nor a transition
-    into a class whose obligations are dead together, since that class has
-    no transition: the walk only closed it as a trivial SCC, and no lasso
-    passes through it, so every run and witness stays as it was.
+    into a class whose obligations are dead together: such a class has no
+    transition, so it lies on no run and every witness stays as it was.
 
     A class is one distinct next-obligation set, named by its bitmask;
     ``root`` is the set of the root formula alone.  ``succ(v)`` expands
@@ -331,8 +330,9 @@ class Gba:
         ``need``, so a side whose ``need`` meets ``forbid`` has no leaf that
         lives and is not built.  A side whose ``later`` meets ``never`` is
         dropped: its ``next`` fails this very entry check, so each of its
-        leaves would be a transition into a class with none.  A branch is held when its node is in ``old`` or ``new``; the
-        ``must`` bits in ``need`` are not held, as a node's own are among them.
+        leaves would be a transition into a class with none.  A branch is
+        held when its node is in ``old`` or ``new``; the ``must`` bits in
+        ``need`` are not held, as a node's own are among them.
         An ``Or`` with a held branch, or an ``Until`` with a held right side,
         is not split, and a ``Release`` with a held left side is its right
         side alone.  Each skip rests on a strict subformula that the side
