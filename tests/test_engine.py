@@ -656,6 +656,67 @@ def test_whole_corpus_partitions_are_pinned():
     assert digest.hexdigest() == WHOLE_CORPUS_DIGEST
 
 
+# Tableau sides of the on-demand walks, summed over every ``partition`` query
+# of each spec: the fixtures, chain3, chain4 and resp3 at the default cap, and
+# the decided raw draws of each corpus seed at cap 30,000 (draw 93 of seed
+# 20240817 ends at the cap and is left out); and the SHA-256 of every witness
+# of those queries as ``format_trace`` text, in query order.  Recorded before
+# the tableau's two literal tables became one mask, and kept by it.
+SIDE_TOTALS = {
+    "intro": 1_304, "pair": 15, "triple": 114, "tail": 1_028, "not_ind": 67,
+    "surprise": 169, "chain3": 2_970, "chain4": 35_028, "resp3": 0,
+    20240817: 27_871, 7: 6_169,
+}
+WITNESS_DIGEST = "ce417ca93235fc5a4707a929c726339b683571c695e73099b55a87dfb439c930"
+
+
+class _CountingSolver:
+    """Answers each query as ``ltl_sat`` does, counting the sides of its walk
+    and keeping each witness's ``format_trace`` text."""
+
+    def __init__(self, state_cap):
+        self.state_cap, self.sides, self.witnesses = state_cap, 0, []
+
+    def solve(self, f):
+        nnf = to_nnf(f)
+        if nnf is FALSE:
+            return UNSAT
+        gba = build_gba(nnf, self.state_cap)
+        result = find_accepting_lasso(gba)
+        self.sides += gba.sides
+        if result.is_sat:
+            assert eval_formula(result.witness, f, 0)
+            self.witnesses.append(format_trace(result.witness))
+        return result
+
+
+def test_tableau_sides_and_witnesses_are_pinned():
+    """A change of the tableau's representation that keeps its automata
+    keeps the work of every walk and every witness."""
+    chain4 = make_spec(["p"], ["a0", "a1", "a2", "a3"], parse_formula(
+        "G((p -> X a0) & (a0 -> X a1) & (a1 -> X a2) & (a2 -> X a3))"))
+    runs = {name: (_pinned_specs(name), engine.DEFAULT_STATE_CAP)
+            for name in [*sorted(FIXTURES), *EXTRA_SPECS]}
+    runs["chain4"] = [chain4], engine.DEFAULT_STATE_CAP
+    for seed in (20240817, 7):
+        rng = random.Random(seed)
+        runs[seed] = [random_spec(rng) for _ in range(201)], 30_000
+    digest = hashlib.sha256()
+    totals = {}
+    for name, (specs, cap) in runs.items():
+        totals[name] = 0
+        for spec in specs:
+            solver = _CountingSolver(cap)
+            try:
+                partition(spec, solver)
+            except EngineLimitError:
+                continue
+            totals[name] += solver.sides
+            digest.update("".join(f"{w}\n" for w in solver.witnesses).encode())
+    assert totals == SIDE_TOTALS
+    assert digest.hexdigest() == WITNESS_DIGEST
+
+
 def test_corpus_draw_93_exceeds_the_corpus_cap():
     """The one raw corpus draw that runs out of budget at 30,000 still does,
     and soon: the cap counts tableau sides, about 0.1 s of work here, where
