@@ -17,13 +17,14 @@ emptiness walk first reaches it.  The walk stops at the first accepting
 partial SCC, and the lasso is read from the classes it visited, so no
 other class is built; ``Gba.explored`` is the one record of the expanded
 classes.  The tableau never builds a side of a split whose
-must-hold literals clash (``FALSE``, or an atom and its negation), as no
-leaf of it lives, drops a side once the must-hold literals of its next
-obligations clash, as each of its leaves would lead to a class with no
-transition, on no run, and never splits a node whose branch the side
-already holds (syntactic implication, Daniele, Giunchiglia & Vardi, CAV
-1999).  Dropping a transition into a class with none moves no other
-transition, so the walk, the lasso and every witness stay as they were.
+must-hold literals clash (``FALSE``, or an atom and its negation: one
+test on one literal mask), as no leaf of it lives, drops a side once
+the must-hold literals of its next obligations clash, as each of its
+leaves would lead to a class with no transition, on no run, and never
+splits a node whose branch the side already holds (syntactic
+implication, Daniele, Giunchiglia & Vardi, CAV 1999).  Dropping a
+transition into a class with none moves no other transition, so the
+walk, the lasso and every witness stay as they were.
 The state cap counts the tableau sides expanded per query.  Every Sat
 answer is self-checked against the queried formula before it is
 returned; a failure here is an engine bug, never a caller error.  The
@@ -225,14 +226,14 @@ class Gba:
     and ``right`` give each rank its node class and child ranks (-1 for
     none), ``literal_bits`` the bits of the ``Atom`` and ``Not`` nodes, and
     ``untils`` each Until's bit with its right side's.  ``must`` gives each
-    node the literal bits that every expansion of it puts into ``old``, and
-    ``bad`` the atoms negated there: a literal's ``must`` is its own bit, as
-    is ``FALSE``'s, which is also its ``bad``; ``&`` takes the union, ``R``
-    its right side's, ``|`` and ``U`` the intersection, or the other side's
-    when one side is dead (``must & bad`` nonzero).  ``cover`` never builds
-    a dead side, which leaves the automaton unchanged, nor a transition
-    into a class whose obligations are dead together: such a class has no
-    transition, so it lies on no run and every witness stays as it was.
+    node one literal mask, the literals every expansion of it puts into
+    ``old``: over the ``width`` = m ``Atom`` and ``FalseF`` nodes, numbered
+    0..m-1 by rank, ``!x`` is bit idx(x), ``x`` bit idx(x) + m and ``FALSE``
+    both bits of its index, so a mask is dead iff ``mask >> m & mask``.
+    ``&`` takes the union, ``R`` its right side's, ``|`` and ``U`` the
+    intersection, or the other side's when one side is dead.  ``cover``
+    builds no dead side, nor a transition into a class whose obligations
+    are dead together: such a class has no transition and lies on no run.
 
     A class is one distinct next-obligation set, named by its bitmask;
     ``root`` is the set of the root formula alone.  ``succ(v)`` expands
@@ -248,7 +249,7 @@ class Gba:
     holds each distinct (old, next) expansion met so far with its
     transition, shared by every class that has it.  ``sides`` counts the
     ``cover`` sides expanded; ``EngineLimitError`` is raised once it would
-    pass ``state_cap``, even inside one expansion.
+    pass ``state_cap``, even inside one expansion, leaving it at the cap.
     """
 
     def __init__(self, f: Formula, state_cap: int = DEFAULT_STATE_CAP):
@@ -257,8 +258,9 @@ class Gba:
         kind = self.kind = [g.__class__ for g in nodes]
         left = self.left = [-1] * len(nodes)
         right = self.right = [-1] * len(nodes)
+        index = {g: j for j, g in enumerate(g for g in nodes if g.__class__ in (Atom, FalseF))}
+        m = self.width = len(index)
         must = self.must = [0] * len(nodes)
-        bad = self.bad = [0] * len(nodes)
         literals = 0
         for i, g in enumerate(nodes):
             k = kind[i]
@@ -266,22 +268,22 @@ class Gba:
                 raise ValueError("negation on a non-atom: formula not in NNF")
             if k is Atom or k is Not:
                 literals |= 1 << i
-                must[i], bad[i] = 1 << i, (1 << rank[g.arg] if k is Not else 0)
+                must[i] = 1 << index[g] + m if k is Atom else 1 << index[g.arg]
             elif k is And or k is Or or k is Until or k is Release:
                 a = left[i] = rank[g.left]
                 b = right[i] = rank[g.right]
                 if k is And:
-                    must[i], bad[i] = must[a] | must[b], bad[a] | bad[b]
-                elif k is Release or must[a] & bad[a]:     # b holds now, or a is dead
-                    must[i], bad[i] = must[b], bad[b]
-                elif must[b] & bad[b]:
-                    must[i], bad[i] = must[a], bad[a]
-                else:   # an atom has one Not node, so bad[a] & bad[b] matches must[a] & must[b]
-                    must[i], bad[i] = must[a] & must[b], bad[a] & bad[b]
+                    must[i] = must[a] | must[b]
+                elif k is Release or must[a] >> m & must[a]:     # b holds now, or a is dead
+                    must[i] = must[b]
+                elif must[b] >> m & must[b]:
+                    must[i] = must[a]
+                else:
+                    must[i] = must[a] & must[b]
             elif k is Next:
                 left[i] = rank[g.arg]
             elif k is FalseF:
-                must[i] = bad[i] = 1 << i
+                must[i] = (1 << m | 1) << index[g]
             elif k is not TrueF:
                 raise ValueError(f"unexpected node in NNF formula: {g!r}")
         self.literal_bits = literals
@@ -323,36 +325,35 @@ class Gba:
     def cover(self, obligations: int) -> dict[tuple[int, int], None]:
         """All distinct (old, next) expansions of the obligation set, in order.
 
-        A pending side is (new, old, next, need, forbid, later, never): an id
-        stack, and bitmasks where ``need`` ORs the ``must`` and ``forbid`` the
-        ``bad`` of every obligation pushed, and ``later`` and ``never`` those
-        of every obligation put into ``next``.  Every leaf of the side holds
-        ``need``, so a side whose ``need`` meets ``forbid`` has no leaf that
-        lives and is not built.  A side whose ``later`` meets ``never`` is
-        dropped: its ``next`` fails this very entry check, so each of its
-        leaves would be a transition into a class with none.  A branch is
-        held when its node is in ``old`` or ``new``; the ``must`` bits in
-        ``need`` are not held, as a node's own are among them.
-        An ``Or`` with a held branch, or an ``Until`` with a held right side,
-        is not split, and a ``Release`` with a held left side is its right
-        side alone.  Each skip rests on a strict subformula that the side
-        asserts, so skips cannot justify each other in a loop.  The live sides
-        keep their depth-first order, so results do too.  Each side taken off
-        the stack counts toward ``state_cap``.
+        A pending side is (new, old, next, need, later): an id stack, and
+        literal masks where ``need`` ORs the ``must`` of every obligation pushed
+        and ``later`` that of every obligation put into ``next``.  Every leaf of
+        the side holds ``need``, so a side whose ``need`` clashes has no leaf
+        that lives and is not built.  A side whose ``later`` clashes is dropped:
+        its ``next`` fails this very entry check, so each of its leaves would be
+        a transition into a class with none.  A branch is held when its node is
+        in ``old`` or ``new``; the literals in ``need`` are not held, as a
+        node's own are among them.  An ``Or`` with a held branch, or an
+        ``Until`` with a held right side, is not split, and a ``Release`` with a
+        held left side is its right side alone.  Each skip rests on a strict
+        subformula that the side asserts, so skips cannot justify each other in
+        a loop.  The live sides keep their depth-first order, so results do too.
+        Each side taken off the stack counts toward ``state_cap``.
         """
-        kind, left, right, must, bad = self.kind, self.left, self.right, self.must, self.bad
+        kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
         sides, cap = self.sides, self.state_cap
         results: dict[tuple[int, int], None] = {}
         new = _ids(obligations)
-        need = forbid = 0
+        need = 0
         for g in new:
-            need, forbid = need | must[g], forbid | bad[g]
-        pending = [] if need & forbid else [(new, 0, 0, need, forbid, 0, 0)]
+            need |= must[g]
+        pending = [] if need >> m & need else [(new, 0, 0, need, 0)]
         while pending:
             sides += 1
             if sides > cap:
+                self.sides = cap
                 raise EngineLimitError(f"tableau exceeded the state cap of {cap}")
-            new, old, nxt, need, forbid, later, never = pending.pop()
+            new, old, nxt, need, later = pending.pop()
             while new:
                 g = new.pop()
                 bit = 1 << g
@@ -365,34 +366,33 @@ class Gba:
                     new.append(right[g])
                 elif k is Next:
                     a = left[g]
-                    nxt, later, never = nxt | 1 << a, later | must[a], never | bad[a]
-                    if later & never:
+                    nxt, later = nxt | 1 << a, later | must[a]
+                    if later >> m & later:
                         break
                 elif k is Release:  # a R b == b & (a | X(a R b)); b is in need
                     a, b = left[g], right[g]
                     if not (old >> a & 1 or a in new):  # a held: a R b is b here
-                        side_need, side_forbid = need | must[a], forbid | bad[a]
-                        if not side_need & side_forbid:
-                            pending.append((new + [a, b], old, nxt, side_need, side_forbid,
-                                            later, never))
-                        nxt, later, never = nxt | bit, later | must[g], never | bad[g]
-                        if later & never:
+                        side = need | must[a]
+                        if not side >> m & side:
+                            pending.append((new + [a, b], old, nxt, side, later))
+                        nxt, later = nxt | bit, later | must[g]
+                        if later >> m & later:
                             break
                     new.append(b)
                 elif k is Or or k is Until:  # a | b, and a U b == b | (a & X(a U b))
                     a, b = left[g], right[g]
                     if old >> b & 1 or b in new or k is Or and (old >> a & 1 or a in new):
                         continue    # a held branch: g holds with it, unsplit
-                    side_need, side_forbid = need | must[b], forbid | bad[b]
-                    if not side_need & side_forbid:
-                        pending.append((new + [b], old, nxt, side_need, side_forbid, later, never))
-                    need, forbid = need | must[a], forbid | bad[a]
-                    if need & forbid:
+                    side = need | must[b]
+                    if not side >> m & side:
+                        pending.append((new + [b], old, nxt, side, later))
+                    need |= must[a]
+                    if need >> m & need:
                         break
                     new.append(a)
                     if k is Until:
-                        nxt, later, never = nxt | bit, later | must[g], never | bad[g]
-                        if later & never:
+                        nxt, later = nxt | bit, later | must[g]
+                        if later >> m & later:
                             break
             else:
                 results[old, nxt] = None

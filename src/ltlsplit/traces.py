@@ -57,6 +57,8 @@ class LassoTrace(Record):
         self._init(prefix, loop)
 
     def state_at(self, i: int) -> State:
+        if i < 0:
+            raise ValueError("position must be nonnegative")
         if i < len(self.prefix):
             return self.prefix[i]
         return self.loop[(i - len(self.prefix)) % len(self.loop)]

@@ -392,8 +392,10 @@ class TestBuildGba:
         class and one for the empty class both lead to."""
         f = to_nnf(parse_formula("a | b"))
         for cap in (1, 2):
+            gba = build_gba(f, state_cap=cap)
             with pytest.raises(EngineLimitError, match=f"state cap of {cap}$"):
-                find_accepting_lasso(build_gba(f, state_cap=cap))
+                find_accepting_lasso(gba)
+            assert gba.sides == cap
         assert find_accepting_lasso(build_gba(f, state_cap=3)).is_sat
 
     def test_state_cap_stops_an_expansion_that_cannot_fit(self):
@@ -401,13 +403,15 @@ class TestBuildGba:
 
         Making all of them before the first pair is refused took about
         5 s; the cap counts tableau sides, so the sixth side stops the
-        expansion.
+        expansion, and ``sides`` reads the five expanded.
         """
         f = parse_formula(" & ".join(f"(a{i} | b{i})" for i in range(18)))
         start = time.perf_counter()
+        gba = build_gba(to_nnf(f), state_cap=5)
         with pytest.raises(EngineLimitError, match="state cap of 5$"):
-            find_accepting_lasso(build_gba(to_nnf(f), state_cap=5))
+            find_accepting_lasso(gba)
         assert time.perf_counter() - start < 1.0
+        assert gba.sides == 5
 
     def test_state_cap_is_exact(self):
         """A query whose exploration expands n tableau sides is decided under
@@ -481,7 +485,7 @@ class TestBuildGba:
     def test_no_transition_leads_to_a_dead_class(self):
         """Over seeded random formulas, some of them ``f & X g`` with g a
         negated subformula of f, no transition of the whole automaton leads
-        to a class whose obligations' ``must`` and ``bad`` bits clash, and the
+        to a class whose obligations' ``must`` bits clash, and the
         engine agrees with the brute oracle: Sat wherever a lasso of at most
         2 + 2 positions is a model, and every witness a model."""
         rng = random.Random(27)
@@ -493,10 +497,10 @@ class TestBuildGba:
                 gba = _explored(build_gba(to_nnf(h)))
                 for cls in gba.states:
                     for _, _, w in cls.succ:
-                        need = forbid = 0
+                        need = 0
                         for g in engine._ids(w):
-                            need, forbid = need | gba.must[g], forbid | gba.bad[g]
-                        assert not need & forbid, print_formula(h)
+                            need |= gba.must[g]
+                        assert not need >> gba.width & need, print_formula(h)
                         targets += 1
                 result = find_accepting_lasso(gba)
                 sat += result.is_sat
@@ -572,8 +576,8 @@ EXTRA_SPECS = {
 # Raw draws of ``random_spec(random.Random(20240817))``, numbered as in
 # ``bench/specs.py``, pinned as one digest.  Draws 51, 52, 17, 54 and 98
 # have the most tableau sides that can only die (their partitions expand
-# 148,004 to 20,286 sides without the must/bad check); draw 99 is pinned
-# as well.  None of them reaches the 30,000-state cap.
+# 148,004 to 20,286 sides without the literal clash check); draw 99 is
+# pinned as well.  None of them reaches the 30,000-state cap.
 CORPUS_DRAWS = (17, 51, 52, 54, 98, 99)
 
 

@@ -30,6 +30,13 @@ class TestLassoTrace:
         assert t.state_at(3) == state("b")
         assert t.state_at(101) == state("b")
 
+    def test_negative_position_rejected(self):
+        """As in ``eval_formula``: -1 is no alias of the last prefix state."""
+        t = lasso([state("a")], [state("b"), state("c")])
+        for i in (-1, -2):
+            with pytest.raises(ValueError, match="position must be nonnegative"):
+                t.state_at(i)
+
     def test_loop_nonempty(self):
         with pytest.raises(ValueError):
             LassoTrace((), ())
