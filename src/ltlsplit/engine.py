@@ -12,19 +12,19 @@ class is one distinct next-obligation set, named by its bitmask; its
 transitions are the tableau's (old, next) expansions of the set, each
 into the class ``next``.  Classes are found only from the root class,
 the root formula's set, along transitions, so every class is reachable
-and emptiness needs no separate reachability pass.  A class is expanded on demand, when the
-emptiness walk first reaches it.  The walk stops at the first accepting
-partial SCC, and the lasso is read from the classes it visited, so no
-other class is built; ``Gba.explored`` is the one record of the expanded
-classes.  The tableau never builds a side of a split whose
+and emptiness needs no separate reachability pass.  A class is expanded
+on demand, when the emptiness walk first reaches it.  The walk stops at
+the first accepting partial SCC, and the lasso is read from the classes
+it visited, so no other class is built; ``Gba.explored`` is the one
+record of the expanded classes.  The tableau takes on each node's
+deterministic closure, all it forces without a split, in one step, so a
+side pops only the nodes it splits on.  It builds no side whose
 must-hold literals clash (``FALSE``, or an atom and its negation: one
-test on one literal mask), as no leaf of it lives, drops a side once
-the must-hold literals of its next obligations clash, as each of its
-leaves would lead to a class with no transition, on no run, and never
-splits a node whose branch the side already holds (syntactic
-implication, Daniele, Giunchiglia & Vardi, CAV 1999).  Dropping a
-transition into a class with none moves no other transition, so the
-walk, the lasso and every witness stay as they were.
+test on one literal mask), or whose next obligations' do, as no leaf of
+it leads to a class with a transition, and never splits a node whose
+branch the side already holds (syntactic implication, Daniele,
+Giunchiglia & Vardi, CAV 1999).  Dropping a transition into a class with
+none moves no other, so the walk, the lasso and every witness stay.
 The state cap counts the tableau sides expanded per query.  Every Sat
 answer is self-checked against the queried formula before it is
 returned; a failure here is an engine bug, never a caller error.  The
@@ -234,6 +234,8 @@ class Gba:
     intersection, or the other side's when one side is dead.  ``cover``
     builds no dead side, nor a transition into a class whose obligations
     are dead together: such a class has no transition and lies on no run.
+    ``closures`` holds each rank's deterministic closure (``_close``), made
+    on its first use by ``cover``.
 
     A class is one distinct next-obligation set, named by its bitmask;
     ``root`` is the set of the root formula alone.  ``succ(v)`` expands
@@ -293,6 +295,7 @@ class Gba:
         self.root = 1 << len(nodes) - 1         # the class of the root obligation
         self.explored: dict[int, list] = {}     # class -> its transitions, once expanded
         self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
+        self.closures: list[tuple | None] = [None] * len(nodes)
         self.sides = 0
 
     @property
@@ -322,32 +325,66 @@ class Gba:
             self.explored[v] = out
         return out
 
+    def _close(self, g: int) -> tuple[int, int, int, list[int]]:
+        """The deterministic closure of rank g, made on first use: the bits g
+        forces into ``old`` and ``next`` without a split, the ``later`` mask of
+        the latter, and the splitters it leaves (``|``, ``U`` and an ``R`` with
+        a live left side) as a stack, popped right child first.  ``&``, ``X``,
+        literals and ``G x`` (``false R x``) fold in, ``true`` leaves nothing,
+        and a hand-built ``x op x``, op one of ``&``, ``|``, ``U``, ``R``, is x."""
+        kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
+        old = nxt = later = 0
+        split, stack = [], [g]
+        while stack:
+            h = stack.pop()
+            k, a = kind[h], left[h]
+            if a == right[h] >= 0:     # x op x is x
+                stack.append(a)
+            elif k is Or or k is Until or k is Release and not must[a] >> m & must[a]:
+                split.append(h)
+            elif not (old >> h & 1 or k is TrueF):
+                old |= 1 << h
+                if k is And:
+                    stack += a, right[h]
+                elif k is Next:
+                    nxt, later = nxt | 1 << a, later | must[a]
+                elif k is Release:      # a is dead: a R b == b & X(a R b)
+                    nxt, later = nxt | 1 << h, later | must[h]
+                    stack.append(right[h])
+        split.reverse()
+        closure = self.closures[g] = old, nxt, later, split
+        return closure
+
     def cover(self, obligations: int) -> dict[tuple[int, int], None]:
         """All distinct (old, next) expansions of the obligation set, in order.
 
-        A pending side is (new, old, next, need, later): an id stack, and
-        literal masks where ``need`` ORs the ``must`` of every obligation pushed
-        and ``later`` that of every obligation put into ``next``.  Every leaf of
-        the side holds ``need``, so a side whose ``need`` clashes has no leaf
-        that lives and is not built.  A side whose ``later`` clashes is dropped:
-        its ``next`` fails this very entry check, so each of its leaves would be
-        a transition into a class with none.  A branch is held when its node is
-        in ``old`` or ``new``; the literals in ``need`` are not held, as a
-        node's own are among them.  An ``Or`` with a held branch, or an
-        ``Until`` with a held right side, is not split, and a ``Release`` with a
-        held left side is its right side alone.  Each skip rests on a strict
-        subformula that the side asserts, so skips cannot justify each other in
-        a loop.  The live sides keep their depth-first order, so results do too.
-        Each side taken off the stack counts toward ``state_cap``.
+        A pending side is (new, old, next, need, later): a stack of splitters
+        only, and literal masks where ``need`` ORs the ``must`` of every
+        obligation taken on and ``later`` that of every obligation put into
+        ``next``.  The root class and each branch of a split take on their
+        nodes' deterministic closures (``_close``) at once.  Every leaf of the
+        side holds ``need``, so a side whose ``need`` clashes has no leaf that
+        lives and is not built; nor is one whose ``later`` clashes, as its
+        ``next`` fails this very check, so each of its leaves would be a
+        transition into a class with none.  A branch is held when its node is
+        in ``old`` (everything a taken-on closure forces is, at once) or is a
+        pending splitter; the literals in ``need`` are not held, as a node's
+        own are among them.  An ``Or`` with a held branch, or an ``Until``
+        with a held right side, is not split, and a ``Release`` with a held
+        left side is its right side alone.  Each skip rests on a strict
+        subformula that the side asserts, so skips cannot justify each other
+        in a loop.  The live sides keep their depth-first order, so results do
+        too.  Each side taken off the stack counts toward ``state_cap``.
         """
         kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
+        closures, close = self.closures, self._close
         sides, cap = self.sides, self.state_cap
         results: dict[tuple[int, int], None] = {}
-        new = _ids(obligations)
-        need = 0
-        for g in new:
-            need |= must[g]
-        pending = [] if need >> m & need else [(new, 0, 0, need, 0)]
+        new, old, nxt, need, later = [], 0, 0, 0, 0
+        for g in _ids(obligations):
+            o, x, l, s = closures[g] or close(g)
+            new, old, nxt, need, later = new + s, old | o, nxt | x, need | must[g], later | l
+        pending = [] if need >> m & need or later >> m & later else [(new, old, nxt, need, later)]
         while pending:
             sides += 1
             if sides > cap:
@@ -357,43 +394,36 @@ class Gba:
             while new:
                 g = new.pop()
                 bit = 1 << g
-                k = kind[g]
-                if old & bit or k is TrueF:
+                if old & bit:
                     continue
                 old |= bit
-                if k is And:
-                    new.append(left[g])
-                    new.append(right[g])
-                elif k is Next:
-                    a = left[g]
-                    nxt, later = nxt | 1 << a, later | must[a]
-                    if later >> m & later:
-                        break
-                elif k is Release:  # a R b == b & (a | X(a R b)); b is in need
-                    a, b = left[g], right[g]
+                a, b = left[g], right[g]
+                if kind[g] is Release:  # a R b == b & (a | X(a R b)), a live
                     if not (old >> a & 1 or a in new):  # a held: a R b is b here
                         side = need | must[a]
-                        if not side >> m & side:
-                            pending.append((new + [a, b], old, nxt, side, later))
+                        oa, xa, la, sa = closures[a] or close(a)
+                        ob, xb, lb, sb = closures[b] or close(b)
+                        fork = later | la | lb
+                        if not (side >> m & side or fork >> m & fork):
+                            pending.append((new + sa + sb, old | oa | ob, nxt | xa | xb, side, fork))
                         nxt, later = nxt | bit, later | must[g]
-                        if later >> m & later:
-                            break
-                    new.append(b)
-                elif k is Or or k is Until:  # a | b, and a U b == b | (a & X(a U b))
-                    a, b = left[g], right[g]
-                    if old >> b & 1 or b in new or k is Or and (old >> a & 1 or a in new):
+                    o, x, l, s = closures[b] or close(b)
+                else:   # a | b, and a U b == b | (a & X(a U b))
+                    if old >> b & 1 or b in new or kind[g] is Or and (old >> a & 1 or a in new):
                         continue    # a held branch: g holds with it, unsplit
                     side = need | must[b]
-                    if not side >> m & side:
-                        pending.append((new + [b], old, nxt, side, later))
+                    ob, xb, lb, sb = closures[b] or close(b)
+                    fork = later | lb
+                    if not (side >> m & side or fork >> m & fork):
+                        pending.append((new + sb, old | ob, nxt | xb, side, fork))
                     need |= must[a]
-                    if need >> m & need:
-                        break
-                    new.append(a)
-                    if k is Until:
+                    if kind[g] is Until:
                         nxt, later = nxt | bit, later | must[g]
-                        if later >> m & later:
-                            break
+                    o, x, l, s = closures[a] or close(a)
+                new += s
+                old, nxt, later = old | o, nxt | x, later | l
+                if need >> m & need or later >> m & later:
+                    break
             else:
                 results[old, nxt] = None
         self.sides = sides
