@@ -289,7 +289,8 @@ class Gba:
             elif k is not TrueF:
                 raise ValueError(f"unexpected node in NNF formula: {g!r}")
         self.literal_bits = literals
-        self.untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind) if k is Until]
+        self.untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind)
+                       if k is Until and kind[right[g]] is not TrueF]     # a U true is met at once
         self.full = (1 << len(self.untils)) - 1
         self.state_cap = state_cap
         self.root = 1 << len(nodes) - 1         # the class of the root obligation
@@ -327,105 +328,103 @@ class Gba:
 
     def _close(self, g: int) -> tuple[int, int, int, list[int]]:
         """The deterministic closure of rank g, made on first use: the bits g
-        forces into ``old`` and ``next`` without a split, the ``later`` mask of
-        the latter, and the splitters it leaves (``|``, ``U`` and an ``R`` with
-        a live left side) as a stack, popped right child first.  ``&``, ``X``,
-        literals and ``G x`` (``false R x``) fold in, ``true`` leaves nothing,
-        and a hand-built ``x op x``, op one of ``&``, ``|``, ``U``, ``R``, is x."""
+        forces into ``old`` (the splitters it leaves among them: ``|``, ``U``
+        and an ``R`` with a live left side) and ``next`` without a split, the
+        ``later`` mask of the latter, and those splitters in push order, right
+        child last.  ``&``, ``X``, literals and ``G x`` (``false R x``) fold
+        in, ``true`` leaves nothing, and a hand-built ``x op x`` is x."""
         kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
-        old = nxt = later = 0
-        split, stack = [], [g]
+        old, nxt, later, split, stack = 0, 0, 0, [], [g]
         while stack:
             h = stack.pop()
-            k, a = kind[h], left[h]
-            if a == right[h] >= 0:     # x op x is x
-                stack.append(a)
-            elif k is Or or k is Until or k is Release and not must[a] >> m & must[a]:
-                split.append(h)
-            elif not (old >> h & 1 or k is TrueF):
+            k, a, b = kind[h], left[h], right[h]
+            if not (old >> h & 1 or k is TrueF):
                 old |= 1 << h
-                if k is And:
-                    stack += a, right[h]
+                if a == b >= 0:         # x op x is x
+                    stack.append(a)
+                elif k is Or or k is Until or k is Release and not must[a] >> m & must[a]:
+                    split.append(h)
+                elif k is And:
+                    stack += a, b
                 elif k is Next:
                     nxt, later = nxt | 1 << a, later | must[a]
                 elif k is Release:      # a is dead: a R b == b & X(a R b)
                     nxt, later = nxt | 1 << h, later | must[h]
-                    stack.append(right[h])
-        split.reverse()
-        closure = self.closures[g] = old, nxt, later, split
+                    stack.append(b)
+        closure = self.closures[g] = old, nxt, later, split[::-1]
         return closure
 
     def cover(self, obligations: int) -> dict[tuple[int, int], None]:
         """All distinct (old, next) expansions of the obligation set, in order.
 
-        A pending side is (new, old, next, need, later): a stack of splitters
-        only, and literal masks where ``need`` ORs the ``must`` of every
-        obligation taken on and ``later`` that of every obligation put into
-        ``next``.  The root class and each branch of a split take on their
-        nodes' deterministic closures (``_close``) at once.  Every leaf of the
-        side holds ``need``, so a side whose ``need`` clashes has no leaf that
-        lives and is not built; nor is one whose ``later`` clashes, as its
-        ``next`` fails this very check, so each of its leaves would be a
-        transition into a class with none.  A branch is held when its node is
-        in ``old`` (everything a taken-on closure forces is, at once) or is a
-        pending splitter; the literals in ``need`` are not held, as a node's
-        own are among them.  An ``Or`` with a held branch, or an ``Until``
-        with a held right side, is not split, and a ``Release`` with a held
-        left side is its right side alone.  Each skip rests on a strict
-        subformula that the side asserts, so skips cannot justify each other
-        in a loop.  The live sides keep their depth-first order, so results do
-        too.  Each side taken off the stack counts toward ``state_cap``.
+        A pending side is (new, old, done, next, need, later, push): a linked
+        stack of splitters only, ``(top, rest)`` or ``()``, shared with the
+        side it forked from; the splitters it expanded; literal masks, ``need``
+        the ``must`` of every obligation taken on and ``later`` that of every
+        obligation put into ``next``; and the splitters still to push.  The
+        root class and each branch of a split take on their nodes'
+        deterministic closures (``_close``) at once.  Every leaf holds
+        ``need``, so a side whose ``need`` clashes has no leaf that lives and
+        is not built; nor is one whose ``later`` clashes, as its ``next``
+        fails this very check.  A branch is held when its node is in ``old``,
+        which has all a taken-on closure forces and every splitter pushed; the
+        literals in ``need`` are not held, as a node's own are among them.  An
+        ``Or`` with a held branch, or an ``Until`` with a held right side, is
+        not split, and a ``Release`` with a held left side is its right side
+        alone.  Each skip rests on a strict subformula that the side asserts,
+        so skips cannot justify each other in a loop.  The live sides keep
+        their depth-first order, so results do too.  Each side taken off the
+        stack counts toward ``state_cap``.
         """
         kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
-        closures, close = self.closures, self._close
-        sides, cap = self.sides, self.state_cap
+        closures, close, sides, cap = self.closures, self._close, self.sides, self.state_cap
         results: dict[tuple[int, int], None] = {}
-        new, old, nxt, need, later = [], 0, 0, 0, 0
+        push, old, nxt, need, later = [], 0, 0, 0, 0
         for g in _ids(obligations):
             o, x, l, s = closures[g] or close(g)
-            new, old, nxt, need, later = new + s, old | o, nxt | x, need | must[g], later | l
-        pending = [] if need >> m & need or later >> m & later else [(new, old, nxt, need, later)]
+            push += s
+            old, nxt, need, later = old | o, nxt | x, need | must[g], later | l
+        pending = [] if need >> m & need or later >> m & later else [((), old, 0, nxt, need, later, push)]
         while pending:
             sides += 1
             if sides > cap:
                 self.sides = cap
                 raise EngineLimitError(f"tableau exceeded the state cap of {cap}")
-            new, old, nxt, need, later = pending.pop()
-            while new:
-                g = new.pop()
-                bit = 1 << g
-                if old & bit:
+            new, old, done, nxt, need, later, s = pending.pop()
+            while True:
+                for g in s:
+                    new = g, new
+                if not new:
+                    results[old, nxt] = None
+                    break
+                g, new = new
+                s, bit = (), 1 << g
+                if done & bit:
                     continue
-                old |= bit
+                done |= bit
                 a, b = left[g], right[g]
                 if kind[g] is Release:  # a R b == b & (a | X(a R b)), a live
-                    if not (old >> a & 1 or a in new):  # a held: a R b is b here
-                        side = need | must[a]
-                        oa, xa, la, sa = closures[a] or close(a)
-                        ob, xb, lb, sb = closures[b] or close(b)
-                        fork = later | la | lb
-                        if not (side >> m & side or fork >> m & fork):
-                            pending.append((new + sa + sb, old | oa | ob, nxt | xa | xb, side, fork))
-                        nxt, later = nxt | bit, later | must[g]
                     o, x, l, s = closures[b] or close(b)
+                    if not old >> a & 1:    # a held: a R b is b here
+                        oa, xa, la, sa = closures[a] or close(a)
+                        side, fork = need | must[a], later | la | l
+                        if not (side >> m & side or fork >> m & fork):
+                            pending.append((new, old | oa | o, done, nxt | xa | x, side, fork, sa + s))
+                        nxt, later = nxt | bit, later | must[g]
                 else:   # a | b, and a U b == b | (a & X(a U b))
-                    if old >> b & 1 or b in new or kind[g] is Or and (old >> a & 1 or a in new):
+                    if old >> b & 1 or kind[g] is Or and old >> a & 1:
                         continue    # a held branch: g holds with it, unsplit
-                    side = need | must[b]
                     ob, xb, lb, sb = closures[b] or close(b)
-                    fork = later | lb
+                    side, fork = need | must[b], later | lb
                     if not (side >> m & side or fork >> m & fork):
-                        pending.append((new + sb, old | ob, nxt | xb, side, fork))
+                        pending.append((new, old | ob, done, nxt | xb, side, fork, sb))
                     need |= must[a]
                     if kind[g] is Until:
                         nxt, later = nxt | bit, later | must[g]
                     o, x, l, s = closures[a] or close(a)
-                new += s
                 old, nxt, later = old | o, nxt | x, later | l
                 if need >> m & need or later >> m & later:
                     break
-            else:
-                results[old, nxt] = None
         self.sides = sides
         return results
 

@@ -821,30 +821,49 @@ def test_branches_held_by_a_closure_agree_with_the_brute_oracle():
     assert 100 < sat < 300
 
 
-@pytest.mark.parametrize("op", [Or, Until, Release])
+@pytest.mark.parametrize("op", [Or, Until, Release, And])
 def test_hand_built_x_op_x_is_x(op):
-    """``x | x``, ``x U x`` and ``x R x``, which ``to_nnf`` never builds, are
-    read as x when built by hand, not split into two equal sides: over 100
-    seeded NNF formulas x, the engine gives the verdict of x, Sat wherever a
-    lasso of at most 3 + 3 positions is a model, every witness satisfies its
-    formula, and the root class takes as many sides as x's root class."""
+    """``x | x``, ``x U x``, ``x R x`` and ``x & x``, which ``to_nnf`` never
+    builds, are read as x when built by hand, not split into two equal sides:
+    over 100 seeded NNF formulas x, the root class of ``x op x`` takes as
+    many sides and transitions as x's, and in ``x op x``, ``G(p U (x op x))``
+    and ``G F (x op x)`` the engine gives the verdict of the same formula
+    with x, is Sat wherever a lasso of at most 3 + 3 positions is a model,
+    and every witness satisfies its formula.  The nested shapes hold an
+    Until whose right side is ``x op x``, so they fail if it is never taken
+    as fulfilled."""
     rng = random.Random(31)
     shapes = [(p, l) for p in range(4) for l in range(1, 4)]
     mismatches = unsound = sat = 0
     for _ in range(100):
         x = to_nnf(small_formula(rng, ["p", "q", "r"], 6))
-        q = op(x, x)
-        alone, doubled = build_gba(x), build_gba(q)
+        alone, doubled = build_gba(x), build_gba(op(x, x))
         assert len(doubled.succ(doubled.root)) == len(alone.succ(alone.root))
         assert doubled.sides == alone.sides
-        result = find_accepting_lasso(build_gba(q))
-        assert find_accepting_lasso(alone).is_sat == result.is_sat
-        sat += result.is_sat
-        unsound += result.is_sat and not eval_formula(result.witness, q, 0)
-        hit = next((r for r in (bounded_sat(q, *s) for s in shapes) if r.is_sat), None)
-        mismatches += hit is not None and not result.is_sat
+        for wrap in (lambda y: y, lambda y: Release(FALSE, Until(Atom("p"), y)),
+                     lambda y: Release(FALSE, Until(TRUE, y))):
+            q = wrap(op(x, x))
+            result = find_accepting_lasso(build_gba(q))
+            assert find_accepting_lasso(build_gba(wrap(x))).is_sat == result.is_sat
+            sat += result.is_sat
+            unsound += result.is_sat and not eval_formula(result.witness, q, 0)
+            hit = next((r for r in (bounded_sat(q, *s) for s in shapes) if r.is_sat), None)
+            mismatches += hit is not None and not result.is_sat
     assert (mismatches, unsound) == (0, 0)
-    assert sat > 50
+    assert sat > 150
+
+
+def test_hand_built_until_true_is_met_at_once():
+    """An Until whose right side is ``true``, which ``to_nnf`` never builds,
+    holds at once when built by hand: ``G(p U true)``, ``G F true``,
+    ``G(p U true) & G !p``, ``G(q U (true | true))`` and
+    ``G(p U (true & true))`` are Sat, each with a witness that satisfies it."""
+    p, q = Atom("p"), Atom("q")
+    for f in (Release(FALSE, Until(p, TRUE)), Release(FALSE, Until(TRUE, TRUE)),
+              And(Release(FALSE, Until(p, TRUE)), Release(FALSE, Not(p))),
+              Release(FALSE, Until(q, Or(TRUE, TRUE))), Release(FALSE, Until(p, And(TRUE, TRUE)))):
+        result = find_accepting_lasso(build_gba(f))
+        assert result.is_sat and eval_formula(result.witness, f, 0), print_formula(f)
 
 
 def test_sat_heavy_queries_agree_with_the_brute_oracle_and_expand_only_walked_classes():
