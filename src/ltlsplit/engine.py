@@ -225,24 +225,24 @@ class Gba:
     and obligation sets are int bitmasks over ranks.  ``kind``, ``left``
     and ``right`` give each rank its node class and child ranks (-1 for
     none), ``literal_bits`` the bits of the ``Atom`` and ``Not`` nodes, and
-    ``untils`` each Until's bit with its right side's.  ``must`` gives each
-    node one literal mask, the literals every expansion of it puts into
-    ``old``: over the ``width`` = m ``Atom`` and ``FalseF`` nodes, numbered
-    0..m-1 by rank, ``!x`` is bit idx(x), ``x`` bit idx(x) + m and ``FALSE``
-    both bits of its index, so a mask is dead iff ``mask >> m & mask``.
-    ``&`` takes the union, ``R`` its right side's, ``|`` and ``U`` the
-    intersection, or the other side's when one side is dead.  ``cover``
-    builds no dead side, nor a transition into a class whose obligations
-    are dead together: such a class has no transition and lies on no run.
-    ``closures`` holds each rank's deterministic closure (``_close``), made
-    on its first use by ``cover``.
+    ``untils`` each Until's bit with its right side's, but for ``x U true``,
+    which holds at once.  ``must`` gives each node one literal mask, the
+    literals every expansion of it puts into ``old``: over the ``width`` = m
+    ``Atom`` and ``FalseF`` nodes, numbered 0..m-1 by rank, ``!x`` is bit
+    idx(x), ``x`` bit idx(x) + m and ``FALSE`` both bits of its index, so a
+    mask is dead iff ``mask >> m & mask``.  ``&`` takes the union, ``R`` its
+    right side's, ``|`` and ``U`` the intersection, or the other side's
+    when one side is dead.  ``cover`` builds no dead side, nor a transition
+    into a class whose obligations are dead together: such a class has no
+    transition and lies on no run.  ``closures`` holds each rank's
+    deterministic closure (``_close``), made on its first use by ``cover``.
 
     A class is one distinct next-obligation set, named by its bitmask;
     ``root`` is the set of the root formula alone.  ``succ(v)`` expands
     class v: each tableau expansion (old, next) of it is one transition
     ``(guard, acc, target)``, the literal bits of ``old`` (``literals``
-    decodes them), acceptance bit j set iff the j-th Until by rank is not
-    in ``old`` or its right side is, and ``next`` itself as the target.  A
+    decodes them), acceptance bit j set iff the j-th Until of ``untils`` is
+    not in ``old`` or its right side is, and ``next`` itself as the target.  A
     run from ``root`` reads, at step i, a letter where the ``Atom`` literals
     of its transition's guard hold and the ``Not`` literals fail; it
     accepts iff every bit of ``full`` recurs infinitely often.
@@ -290,7 +290,7 @@ class Gba:
                 raise ValueError(f"unexpected node in NNF formula: {g!r}")
         self.literal_bits = literals
         self.untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind)
-                       if k is Until and kind[right[g]] is not TrueF]     # a U true is met at once
+                       if k is Until and kind[right[g]] is not TrueF]
         self.full = (1 << len(self.untils)) - 1
         self.state_cap = state_cap
         self.root = 1 << len(nodes) - 1         # the class of the root obligation
