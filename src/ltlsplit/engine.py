@@ -13,28 +13,30 @@ transitions are the tableau's (old, next) expansions of the set, each
 into the class ``next``.  Classes are found only from the root class,
 the root formula's set, along transitions, so every class is reachable
 and emptiness needs no separate reachability pass.  A class is expanded
-on demand, when the emptiness walk first reaches it.  The walk stops at
-the first accepting partial SCC, and the lasso is read from the classes
-it visited, so no other class is built; ``Gba.explored`` is the one
-record of the expanded classes.  The tableau takes on each node's
-deterministic closure, all it forces without a split, in one step, so a
-side pops only the nodes it splits on.  It builds no side whose
-must-hold literals clash (``FALSE``, or an atom and its negation: one
-test on one literal mask), or whose next obligations' do, as no leaf of
-it leads to a class with a transition, and never splits a node whose
-branch the side already holds (syntactic implication, Daniele,
-Giunchiglia & Vardi, CAV 1999).  Dropping a transition into a class with
-none moves no other, so the walk, the lasso and every witness stay.
-The state cap counts the tableau sides expanded per query.  Every Sat
-answer is self-checked against the queried formula before it is
-returned; a failure here is an engine bug, never a caller error.  The
-query protocol's server (``serve_stdin_queries``) and its errors live
-here; its client, ``ExternalSolver``, lives in ``ltlsplit.external``, the
-one module that starts processes.
+only as far as the emptiness walk reads it: ``Gba.cover`` yields each
+transition as it builds it, and the walk keeps each class's suspended
+expansion on its stack.  The walk stops at the first accepting partial
+SCC, and the lasso reads only transitions the walk read, so nothing else
+is built; ``Gba.explored`` is the one record of the built transitions.
+The tableau takes on each node's deterministic closure, all it forces
+without a split, in one step, so a side pops only the nodes it splits
+on.  It builds no side whose must-hold literals clash (``FALSE``, or an
+atom and its negation: one test on one literal mask), or whose next
+obligations' do, as no leaf of it leads to a class with a transition,
+and never splits a node whose branch the side already holds (syntactic
+implication, Daniele, Giunchiglia & Vardi, CAV 1999).  Dropping a
+transition into a class with none moves no other, so the walk, the
+lasso and every witness stay.  The state cap counts the tableau sides
+made per query.  Every Sat answer is self-checked against the queried
+formula before it is returned; a failure here is an engine bug, never a
+caller error.  The query protocol's server (``serve_stdin_queries``) and
+its errors live here; its client, ``ExternalSolver``, lives in
+``ltlsplit.external``, the one module that starts processes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from types import SimpleNamespace
 
 from .formula import (
@@ -238,20 +240,22 @@ class Gba:
     deterministic closure (``_close``), made on its first use by ``cover``.
 
     A class is one distinct next-obligation set, named by its bitmask;
-    ``root`` is the set of the root formula alone.  ``succ(v)`` expands
-    class v: each tableau expansion (old, next) of it is one transition
-    ``(guard, acc, target)``, the literal bits of ``old`` (``literals``
-    decodes them), acceptance bit j set iff the j-th Until of ``untils`` is
-    not in ``old`` or its right side is, and ``next`` itself as the target.  A
-    run from ``root`` reads, at step i, a letter where the ``Atom`` literals
-    of its transition's guard hold and the ``Not`` literals fail; it
-    accepts iff every bit of ``full`` recurs infinitely often.
-    ``explored``, the one record of the expanded classes, maps each to its
-    transitions in expansion order; ``states`` is a view of it.  ``pairs``
-    holds each distinct (old, next) expansion met so far with its
+    ``root`` is the set of the root formula alone.  ``cover(v)`` expands
+    class v lazily: each tableau expansion (old, next) of it is one
+    transition ``(guard, acc, target)``, the literal bits of ``old``
+    (``literals`` decodes them), acceptance bit j set iff the j-th Until of
+    ``untils`` is not in ``old`` or its right side is (``accs`` keeps them
+    by the bits of ``old`` in ``watch``), and ``next`` itself as the target.
+    ``succ(v)`` expands v in full.  A run from ``root`` reads, at step i, a
+    letter where the ``Atom`` literals of its transition's guard hold and
+    the ``Not`` literals fail; it accepts iff every bit of ``full`` recurs
+    infinitely often.  ``explored``, the one record of the built
+    transitions, maps each class whose expansion has begun to its
+    transitions so far, in expansion order; ``states`` is a view of it.
+    ``pairs`` holds each distinct (old, next) expansion met so far with its
     transition, shared by every class that has it.  ``sides`` counts the
-    ``cover`` sides expanded; ``EngineLimitError`` is raised once it would
-    pass ``state_cap``, even inside one expansion, leaving it at the cap.
+    ``cover`` sides made; ``EngineLimitError`` is raised once it would pass
+    ``state_cap``, even inside one expansion, leaving it at the cap.
     """
 
     def __init__(self, f: Formula, state_cap: int = DEFAULT_STATE_CAP):
@@ -292,9 +296,11 @@ class Gba:
         self.untils = [(1 << g, 1 << right[g]) for g, k in enumerate(kind)
                        if k is Until and kind[right[g]] is not TrueF]
         self.full = (1 << len(self.untils)) - 1
+        self.watch = sum({bit for pair in self.untils for bit in pair})     # OR of their bits
+        self.accs: dict[int, int] = {}      # old & watch -> acceptance bits
         self.state_cap = state_cap
         self.root = 1 << len(nodes) - 1         # the class of the root obligation
-        self.explored: dict[int, list] = {}     # class -> its transitions, once expanded
+        self.explored: dict[int, list] = {}     # class -> its transitions built so far
         self.pairs: dict[tuple[int, int], tuple[int, int, int]] = {}
         self.closures: list[tuple | None] = [None] * len(nodes)
         self.sides = 0
@@ -309,22 +315,9 @@ class Gba:
         return [self.nodes[i] for i in _ids(guard)]
 
     def succ(self, v: int) -> list[tuple[int, int, int]]:
-        """The transitions of class v, in ``cover`` order; expands v on the first call."""
-        out = self.explored.get(v)
-        if out is None:
-            out = []
-            for key in self.cover(v):
-                t = self.pairs.get(key)
-                if t is None:   # guard and acceptance bits once per distinct pair
-                    old, nxt = key
-                    acc = 0
-                    for j, (until, fulfilled) in enumerate(self.untils):
-                        if not old & until or old & fulfilled:
-                            acc |= 1 << j
-                    t = self.pairs[key] = (old & self.literal_bits, acc, nxt)
-                out.append(t)
-            self.explored[v] = out
-        return out
+        """The transitions of class v, in ``cover`` order: v expanded in full,
+        from the start, whatever of it was built before."""
+        return list(self.cover(v))
 
     def _close(self, g: int) -> tuple[int, int, int, list[int]]:
         """The deterministic closure of rank g, made on first use: the bits g
@@ -354,8 +347,11 @@ class Gba:
         closure = self.closures[g] = old, nxt, later, split[::-1]
         return closure
 
-    def cover(self, obligations: int) -> dict[tuple[int, int], None]:
-        """All distinct (old, next) expansions of the obligation set, in order.
+    def cover(self, v: int) -> Iterator[tuple[int, int, int]]:
+        """Expand class v lazily: make its transitions, one per distinct (old,
+        next) expansion of its obligations, in order, each appended to
+        ``explored[v]`` and yielded, so a caller that stops reading builds no
+        more of v.
 
         A pending side is (new, old, done, next, need, later, push): a linked
         stack of splitters only, ``(top, rest)`` or ``()``, shared with the
@@ -373,20 +369,22 @@ class Gba:
         not split, and a ``Release`` with a held left side is its right side
         alone.  Each skip rests on a strict subformula that the side asserts,
         so skips cannot justify each other in a loop.  The live sides keep
-        their depth-first order, so results do too.  Each side taken off the
-        stack counts toward ``state_cap``.
+        their depth-first order, so results do too.  A side counts toward
+        ``state_cap`` when it is made, so the cap bounds the sides pending in
+        suspended expansions; an expansion run to its end pops all it makes.
         """
         kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
-        closures, close, sides, cap = self.closures, self._close, self.sides, self.state_cap
-        results: dict[tuple[int, int], None] = {}
+        closures, close, cap, pairs, accs = self.closures, self._close, self.state_cap, self.pairs, self.accs
+        out = self.explored[v] = []
+        seen: set[tuple[int, int]] = set()     # the (old, next) pairs of v so far
         push, old, nxt, need, later = [], 0, 0, 0, 0
-        for g in _ids(obligations):
+        for g in _ids(v):
             o, x, l, s = closures[g] or close(g)
             push += s
             old, nxt, need, later = old | o, nxt | x, need | must[g], later | l
         pending = [] if need >> m & need or later >> m & later else [((), old, 0, nxt, need, later, push)]
+        sides = self.sides + len(pending)
         while pending:
-            sides += 1
             if sides > cap:
                 self.sides = cap
                 raise EngineLimitError(f"tableau exceeded the state cap of {cap}")
@@ -395,38 +393,53 @@ class Gba:
                 for g in s:
                     new = g, new
                 if not new:
-                    results[old, nxt] = None
+                    key = old, nxt
+                    if key not in seen and sides <= cap:    # else the pop above raises
+                        seen.add(key)
+                        t = pairs.get(key)
+                        if t is None:   # guard and acceptance bits once per distinct pair
+                            w = old & self.watch
+                            acc = accs.get(w)
+                            if acc is None:     # acceptance bits once per state of the Untils
+                                acc = accs[w] = sum(1 << j for j, (u, f) in enumerate(self.untils)
+                                                    if not w & u or w & f)
+                            t = pairs[key] = old & self.literal_bits, acc, nxt
+                        out.append(t)
+                        self.sides = sides
+                        yield t
+                        sides = self.sides      # other expansions ran meanwhile
                     break
                 g, new = new
                 s, bit = (), 1 << g
                 if done & bit:
                     continue
                 done |= bit
-                a, b = left[g], right[g]
-                if kind[g] is Release:  # a R b == b & (a | X(a R b)), a live
+                a, b, k = left[g], right[g], kind[g]
+                if k is Release:  # a R b == b & (a | X(a R b)), a live
                     o, x, l, s = closures[b] or close(b)
                     if not old >> a & 1:    # a held: a R b is b here
                         oa, xa, la, sa = closures[a] or close(a)
                         side, fork = need | must[a], later | la | l
                         if not (side >> m & side or fork >> m & fork):
                             pending.append((new, old | oa | o, done, nxt | xa | x, side, fork, sa + s))
+                            sides += 1
                         nxt, later = nxt | bit, later | must[g]
                 else:   # a | b, and a U b == b | (a & X(a U b))
-                    if old >> b & 1 or kind[g] is Or and old >> a & 1:
+                    if old >> b & 1 or k is Or and old >> a & 1:
                         continue    # a held branch: g holds with it, unsplit
                     ob, xb, lb, sb = closures[b] or close(b)
                     side, fork = need | must[b], later | lb
                     if not (side >> m & side or fork >> m & fork):
                         pending.append((new, old | ob, done, nxt | xb, side, fork, sb))
+                        sides += 1
                     need |= must[a]
-                    if kind[g] is Until:
+                    if k is Until:
                         nxt, later = nxt | bit, later | must[g]
                     o, x, l, s = closures[a] or close(a)
                 old, nxt, later = old | o, nxt | x, later | l
                 if need >> m & need or later >> m & later:
                     break
         self.sides = sides
-        return results
 
 
 def _ids(mask: int) -> list[int]:
@@ -443,18 +456,20 @@ build_gba = Gba     # the automaton of an NNF formula, no class expanded yet
 
 
 def _accepting_component(gba: Gba) -> tuple[set[int], dict[int, int]] | None:
-    """Couvreur's walk, iterative, from the root class, expanding each class
-    it reaches: a stack of SCC roots, each with its live-stack position, the
-    acceptance bits of the transition into it and those of its partial SCC's
-    internal transitions.  A transition to a live class merges the roots above
-    that class into the one below; once that root's internal bits are ``full``,
-    returns its open component (the live stack from it up) and every visited
-    class (mapped to its live position, -1 once its SCC closed).  None if no
-    SCC accepts."""
+    """Couvreur's walk, iterative, from the root class, reading each class it
+    reaches from its ``cover`` only as far as it goes: a stack of SCC roots,
+    each with its live-stack position, the acceptance bits of the transition
+    into it and those of its partial SCC's internal transitions.  A transition
+    to a live class merges the roots above that class into the one below;
+    once that root's internal bits are ``full``, returns its open component
+    (the live stack from it up) and every visited class (mapped to its live
+    position, -1 once its SCC closed).  None if no SCC accepts.  The
+    suspended expansions refer to ``gba`` but live only on the walk's stack,
+    so every exit drops them and no cycle keeps ``gba`` alive."""
     pos = {gba.root: 0}
     live = [gba.root]
     roots = [[0, 0, 0]]     # [position on live, bits of the transition in, internal bits]
-    work = [(gba.root, iter(gba.succ(gba.root)))]
+    work = [(gba.root, gba.cover(gba.root))]
     while work:
         v, succ = work[-1]
         for _, acc, w in succ:
@@ -463,7 +478,7 @@ def _accepting_component(gba: Gba) -> tuple[set[int], dict[int, int]] | None:
                 pos[w] = len(live)
                 roots.append([len(live), acc, 0])
                 live.append(w)
-                work.append((w, iter(gba.succ(w))))
+                work.append((w, gba.cover(w)))
                 break
             if i >= 0:      # w is live: the roots above it join its component
                 while roots[-1][0] > i:
@@ -484,14 +499,15 @@ def _accepting_component(gba: Gba) -> tuple[set[int], dict[int, int]] | None:
 
 
 def _bfs(gba: Gba, start: int, inside, goal) -> list[tuple[int, int, int]]:
-    """A shortest path of one or more transitions from class ``start`` to one that
-    meets ``goal``, every transition ending in ``inside``; ties go by ``succ`` order."""
+    """A shortest path of one or more built transitions from class ``start``
+    to one that meets ``goal``, every transition ending in ``inside``; ties go
+    by ``explored`` order.  It builds nothing."""
     parent: dict[int, tuple | None] = {start: None}     # class -> (class, transition) into it
     frontier = [start]
     while frontier:
         reached = []
         for v in frontier:
-            for t in gba.succ(v):
+            for t in gba.explored[v]:
                 w = t[2]
                 if w not in inside:
                     continue
@@ -516,9 +532,13 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     Otherwise a lasso read off the guards of a path from the root class,
     through classes the walk visited, into the component that
     ``_accepting_component`` stops at, and of a cycle inside it through every
-    acceptance bit; atoms a guard leaves free are false.  So no class past
-    the walk is built.  Raises ``EngineLimitError`` once the expansions pass
-    the state cap.
+    acceptance bit; atoms a guard leaves free are false.  Both are read from
+    the transitions the walk built, and such paths exist: the walk's
+    depth-first path from the root reaches the component's root; Couvreur's
+    partial SCC is strongly connected through transitions the walk read; and
+    those transitions carry every bit of ``full``, as the walk found the bits
+    on them.  So the lasso builds nothing.  Raises ``EngineLimitError`` once
+    the walk's sides pass the state cap.
     """
     found = _accepting_component(gba)
     if found is None:

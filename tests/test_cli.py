@@ -214,16 +214,18 @@ class TestMain:
 
     def test_audit_budget_exhaustion(self, tmp_path):
         # Draw 92 of the seeded corpus (seed 20240817).  Its largest partition
-        # query expands 352 tableau sides, but the minimality audit's query
-        # for {a1} needs 394, so at 380 the cap runs out inside the audit:
-        # an engine limit, not a failed audit.
+        # query makes 269 tableau sides, but the minimality audit's query
+        # for {a1} needs 298, so at 280 the cap runs out inside the audit:
+        # an engine limit, not a failed audit.  (352, 394 and a cap of 380
+        # before classes were built only as far as the emptiness walk reads
+        # them.)
         path = write_spec(tmp_path, "d92.spec",
                           "env: p0\nsys: a0 a1\nformula: (a1 U (a0 | ((F a0 & (a0 | p0)) & G p0)))\n")
-        proc = run_cli(path, "--state-cap", "380", "--verify", "--audit-minimality")
+        proc = run_cli(path, "--state-cap", "280", "--verify", "--audit-minimality")
         assert proc.returncode == EXIT_ENGINE
-        assert proc.stderr == "error: tableau exceeded the state cap of 380\n"
+        assert proc.stderr == "error: tableau exceeded the state cap of 280\n"
         assert "FAIL" not in proc.stdout
-        assert run_cli(path, "--state-cap", "394", "--verify", "--audit-minimality").returncode == EXIT_OK
+        assert run_cli(path, "--state-cap", "298", "--verify", "--audit-minimality").returncode == EXIT_OK
 
     @pytest.mark.parametrize("serve_args, code", [("", EXIT_OK), (", state_cap=2", EXIT_ENGINE)],
                              ids=["ok", "limit"])

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from functools import reduce
 
 import pytest
@@ -649,8 +650,13 @@ def test_partition_query_logs_are_pinned():
 # sliced down to the conjuncts of g that the query does not assert, and
 # re-recorded when the emptiness check began to stop at the first accepting
 # partial SCC: draw 98 of seed 20240817 lists its block as a0, a2, a3, a1
-# instead of a0, a3, a2, a1, with another query sequence.
-WHOLE_CORPUS_DIGEST = "94d10972e54d50d8b0bb03e47a89c03612b82b6ca88bbf9c9be17c1f57187c12"
+# instead of a0, a3, a2, a1, with another query sequence.  Re-recorded when
+# a class began to be built only as far as the emptiness walk reads it:
+# the lasso's prefix keeps to the transitions the walk built, so some
+# witnesses moved, and with them the first disagreeing variable of draws 71
+# and 142 of seed 7, which list a block as a1, a3, a2 (was a1, a2, a3) and
+# a0, a3, a2 (was a0, a2, a3), each with another query sequence.
+WHOLE_CORPUS_DIGEST = "699a7e6ac5998248c0863e752aa14ef3a23d2cf29eb7216a3da5033947213ea2"
 
 
 def test_whole_corpus_partitions_are_pinned():
@@ -685,12 +691,18 @@ def test_whole_corpus_partitions_are_pinned():
 # a closure is no longer built and counted, and a branch inside a pending
 # ``&`` counts as held (intro 1,304, pair 15, chain3 2,970, chain4 35,028,
 # seed 20240817 27,871 and seed 7 6,169 before); the witnesses are unchanged.
+# Both were re-recorded when a class began to be built only as far as the
+# emptiness walk reads it, with each side counted when it is made: the
+# totals fell (intro 862, triple 114, not_ind 67, surprise 169, chain3
+# 2,672, chain4 32,052, seed 20240817 25,452 and seed 7 5,448 before), and
+# the lasso's prefix now keeps to the transitions the walk built, so 86
+# witnesses of 57 specs changed.
 SIDE_TOTALS = {
-    "intro": 862, "pair": 6, "triple": 114, "tail": 1_028, "not_ind": 67,
-    "surprise": 169, "chain3": 2_672, "chain4": 32_052, "resp3": 0,
-    20240817: 25_452, 7: 5_448,
+    "intro": 824, "pair": 6, "triple": 54, "tail": 1_028, "not_ind": 32,
+    "surprise": 68, "chain3": 781, "chain4": 5_064, "resp3": 0,
+    20240817: 16_021, 7: 3_845,
 }
-WITNESS_DIGEST = "ce417ca93235fc5a4707a929c726339b683571c695e73099b55a87dfb439c930"
+WITNESS_DIGEST = "9848f23f9ffbb83a6e39e5f748bb3e87ff88e780309e5e9d3c6561e4cabee1cb"
 
 
 class _CountingSolver:
@@ -753,10 +765,37 @@ def test_corpus_draw_93_exceeds_the_corpus_cap():
     assert time.perf_counter() - start < 0.6
 
 
+def _whole_automaton_accepts(gba):
+    """Whether ``gba``, expanded in full, has a class on a cycle whose SCC's
+    internal transitions carry every bit of ``full``: per-class reachability
+    sets, apart from the engine's walk."""
+    reach = {}
+    for v in gba.explored:
+        seen, stack = set(), [v]
+        while stack:
+            for _, _, w in gba.explored[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach[v] = seen     # classes reached by one or more transitions
+    for v in gba.explored:
+        component = {w for w in reach[v] if v in reach[w]}
+        bits = 0
+        for u in component:
+            for _, acc, w in gba.explored[u]:
+                bits |= acc if w in component else 0
+        if component and bits == gba.full:
+            return True
+    return False
+
+
 def test_on_the_fly_answers_match_the_whole_automaton():
-    """Expanding classes only as the walk reaches them gives the verdict and
-    printed witness of the fully expanded automaton, over 500 seeded random
-    formulas and every partition query of the fixtures."""
+    """Building classes only as far as the walk reads them gives the verdict
+    of the fully expanded automaton, found apart from the walk, over 500
+    seeded random formulas and every partition query of the fixtures; every
+    witness satisfies its formula, and the walk often leaves classes unbuilt.
+    A witness may differ from a lasso of the whole automaton, as it keeps to
+    the transitions the walk built."""
     rng = random.Random(18)
     formulas = [random_formula(rng, ["p", "q", "r"], 4) for _ in range(500)]
     formulas += [q.formula for name in sorted(FIXTURES)
@@ -765,9 +804,9 @@ def test_on_the_fly_answers_match_the_whole_automaton():
     for f in formulas:
         nnf = to_nnf(f)
         lazy, full = build_gba(nnf), _explored(build_gba(nnf))
-        got, want = find_accepting_lasso(lazy), find_accepting_lasso(full)
-        assert got.is_sat == want.is_sat
-        assert not got.is_sat or format_trace(got.witness) == format_trace(want.witness)
+        got = find_accepting_lasso(lazy)
+        assert got.is_sat == _whole_automaton_accepts(full), print_formula(f)
+        assert not got.is_sat or eval_formula(got.witness, f, 0)
         fewer += len(lazy.states) < len(full.states)
     assert fewer > 50
 
@@ -866,32 +905,82 @@ def test_hand_built_until_true_is_met_at_once():
         assert result.is_sat and eval_formula(result.witness, f, 0), print_formula(f)
 
 
-def test_sat_heavy_queries_agree_with_the_brute_oracle_and_expand_only_walked_classes():
-    """Over 300 seeded draws of f and g, in ``f | g``, ``G F f`` and ``f U g``:
-    the engine is Sat wherever a lasso of at most 3 + 3 positions is a model,
-    every witness satisfies its formula, and the walk visits every class the
-    lasso searches read, so they expand none."""
+def test_lasso_reads_only_what_the_walk_built(monkeypatch):
+    """Over 300 seeded draws of f and g, in the SAT-heavy ``f | g``, ``G F f``
+    and ``f U g``, and over 300 UNSAT-heavy ``f & !g``, g a weakening of f
+    (``f | h``, ``F f`` or ``h U f``) or a node of it: the engine is Sat
+    wherever a lasso of at most 3 + 3 positions is a model, every witness
+    satisfies its formula, and the lasso search builds nothing, so
+    ``gba.sides`` after ``find_accepting_lasso`` is ``gba.sides`` when the
+    walk returned.  Many Sat walks leave a class half built, so the
+    lasso's paths must keep to the transitions the walk read."""
+    walk, after_walk = engine._accepting_component, []
+
+    def recording(gba):
+        found = walk(gba)
+        after_walk.append(gba.sides)
+        return found
+
+    monkeypatch.setattr(engine, "_accepting_component", recording)
     rng = random.Random(26)
+    names = ["p", "q", "r"]
     shapes = [(p, l) for p in range(4) for l in range(1, 4)]
-    mismatches = unsound = expanded = sat = 0
+    formulas = []
     for _ in range(300):
-        f = small_formula(rng, ["p", "q", "r"], 6)
-        g = small_formula(rng, ["p", "q", "r"], 6)
-        for h in (Or(f, g), Always(Eventually(f)), Until(f, g)):
-            gba = build_gba(to_nnf(h))
-            found = engine._accepting_component(gba)
-            walked = set(gba.explored)
-            assert found is None or set(found[1]) == walked
+        f, g = small_formula(rng, names, 6), small_formula(rng, names, 6)
+        formulas += [Or(f, g), Always(Eventually(f)), Until(f, g)]
+    for _ in range(300):
+        f, h = small_formula(rng, names, 6), small_formula(rng, names, 4)
+        g = rng.choice([Or(f, h), Eventually(f), Until(h, f), rng.choice(postorder(f))])
+        formulas.append(And(f, Not(g)))
+    mismatches = unsound = built = sat = half_built = 0
+    for h in formulas:
+        nnf = to_nnf(h)
+        result = UNSAT
+        if nnf is not FALSE:
+            gba = build_gba(nnf)
             result = find_accepting_lasso(gba)
-            expanded += set(gba.explored) != walked
-            sat += result.is_sat
-            unsound += result.is_sat and not eval_formula(result.witness, h, 0)
-            hit = next((r for r in (bounded_sat(h, *s) for s in shapes) if r.is_sat), None)
-            if hit is not None:
-                unsound += not eval_formula(hit.witness, h, 0)
-                mismatches += not result.is_sat
-    assert (mismatches, unsound, expanded) == (0, 0, 0)
-    assert sat > 800
+            built += gba.sides != after_walk[-1]
+            whole = build_gba(nnf)
+            half_built += any(len(out) < len(whole.succ(v)) for v, out in gba.explored.items())
+        sat += result.is_sat
+        unsound += result.is_sat and not eval_formula(result.witness, h, 0)
+        hit = next((r for r in (bounded_sat(h, *s) for s in shapes) if r.is_sat), None)
+        if hit is not None:
+            unsound += not eval_formula(hit.witness, h, 0)
+            mismatches += not result.is_sat
+    assert (mismatches, unsound, built) == (0, 0, 0)
+    assert sat > 800 and len(formulas) - sat > 200 and half_built > 500
+
+
+def test_no_automaton_outlives_its_query():
+    """A class's suspended expansion refers to its automaton but lives only
+    on the walk's stack, so with the cyclic collector off, the automaton of
+    a Sat query that leaves a class half built, of an Unsat query and of a
+    capped query is freed as soon as its last reference goes."""
+    queries = [("G F a & G F b & (p U q)", engine.DEFAULT_STATE_CAP, "SAT"),
+               ("F b & G !b", engine.DEFAULT_STATE_CAP, "UNSAT"),
+               (" & ".join(f"(a{i} | b{i})" for i in range(18)), 5, "LIMIT")]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text, cap, verdict in queries:
+            nnf = to_nnf(parse_formula(text))
+            gba = build_gba(nnf, cap)
+            alive = weakref.ref(gba)
+            try:
+                got = "SAT" if find_accepting_lasso(gba).is_sat else "UNSAT"
+            except EngineLimitError:
+                got = "LIMIT"
+            assert got == verdict
+            if got == "SAT":
+                whole = build_gba(nnf)
+                assert any(len(out) < len(whole.succ(v)) for v, out in gba.explored.items())
+            del gba
+            assert alive() is None, text
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_corpus_draw_51_explores_few_classes():
