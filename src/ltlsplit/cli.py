@@ -128,7 +128,8 @@ def main(argv=None) -> int:
 
     # Blocks come out ordered by their first declared member; list each
     # block's members in declaration order too.
-    blocks = [sorted(b.vars, key=spec.sys.index) for b in result.blocks]
+    order = {name: i for i, name in enumerate(spec.sys)}
+    blocks = [sorted(b.vars, key=order.__getitem__) for b in result.blocks]
     payload = {
         "env": list(spec.env),
         "sys": list(spec.sys),

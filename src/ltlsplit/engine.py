@@ -1,37 +1,17 @@
 """LTL satisfiability with lasso witnesses.
 
-Pipeline: negation normal form, one children-first pass that builds each
-node in both polarities, reads ``x -> x`` and ``x <-> x`` as ``TRUE`` and
-carries ``TRUE`` and ``FALSE`` through the nodes it builds (each conjunct
-!g of the query first drops the conjuncts of g that the query asserts;
-``FALSE``, answered Unsat with no automaton, when none is left) ->
-transition-based generalized Buchi automaton over next-obligation classes
-(``Gba``, a tableau over closure subsets as rank bitmasks) -> Couvreur's
-on-the-fly emptiness check -> accepting lasso read back as a trace.  A
-class is one distinct next-obligation set, named by its bitmask; its
-transitions are the tableau's (old, next) expansions of the set, each
-into the class ``next``.  Classes are found only from the root class,
-the root formula's set, along transitions, so every class is reachable
-and emptiness needs no separate reachability pass.  A class is expanded
-only as far as the emptiness walk reads it: ``Gba.cover`` yields each
-transition as it builds it, and the walk keeps each class's suspended
-expansion on its stack.  The walk stops at the first accepting partial
-SCC, and the lasso reads only transitions the walk read, so nothing else
-is built; ``Gba.explored`` is the one record of the built transitions.
-The tableau takes on each node's deterministic closure, all it forces
-without a split, in one step, so a side pops only the nodes it splits
-on.  It builds no side whose must-hold literals clash (``FALSE``, or an
-atom and its negation: one test on one literal mask), or whose next
-obligations' do, as no leaf of it leads to a class with a transition,
-and never splits a node whose branch the side already holds (syntactic
-implication, Daniele, Giunchiglia & Vardi, CAV 1999).  Dropping a
-transition into a class with none moves no other, so the walk, the
-lasso and every witness stay.  The state cap counts the tableau sides
-made per query.  Every Sat answer is self-checked against the queried
-formula before it is returned; a failure here is an engine bug, never a
-caller error.  The query protocol's server (``serve_stdin_queries``) and
-its errors live here; its client, ``ExternalSolver``, lives in
-``ltlsplit.external``, the one module that starts processes.
+Pipeline: negation normal form (``to_nnf``) -> transition-based
+generalized Buchi automaton over next-obligation classes (``Gba``, a
+tableau over closure subsets as rank bitmasks) -> Couvreur's on-the-fly
+emptiness check (``_accepting_component``) -> accepting lasso read back
+as a trace (``find_accepting_lasso``).  The walk expands a class only as
+far as it reads it, and the lasso reads only what the walk built, so
+nothing else is built.  Every Sat answer is self-checked against the
+queried formula before it is returned; a failure here is an engine bug,
+never a caller error.  The query protocol's server
+(``serve_stdin_queries``) and its errors live here; its client,
+``ExternalSolver``, lives in ``ltlsplit.external``, the one module that
+starts processes.
 """
 
 from __future__ import annotations
@@ -220,7 +200,7 @@ def to_nnf(f: Formula) -> Formula:
 class Gba:
     """Transition-based generalized Buchi automaton of ``f``, which must be in
     negation normal form (``ValueError`` otherwise), over next-obligation
-    classes, each expanded only when first asked for.
+    classes, each expanded by ``cover``.
 
     Subformulas are numbered by their rank in ``postorder(f)`` (the atom
     under a negative literal just before it): ``nodes[i]`` is guard bit i,
@@ -234,28 +214,28 @@ class Gba:
     idx(x), ``x`` bit idx(x) + m and ``FALSE`` both bits of its index, so a
     mask is dead iff ``mask >> m & mask``.  ``&`` takes the union, ``R`` its
     right side's, ``|`` and ``U`` the intersection, or the other side's
-    when one side is dead.  ``cover`` builds no dead side, nor a transition
-    into a class whose obligations are dead together: such a class has no
-    transition and lies on no run.  ``closures`` holds each rank's
-    deterministic closure (``_close``), made on its first use by ``cover``.
+    when one side is dead.
 
     A class is one distinct next-obligation set, named by its bitmask;
-    ``root`` is the set of the root formula alone.  ``cover(v)`` expands
-    class v lazily: each tableau expansion (old, next) of it is one
-    transition ``(guard, acc, target)``, the literal bits of ``old``
-    (``literals`` decodes them), acceptance bit j set iff the j-th Until of
-    ``untils`` is not in ``old`` or its right side is (``accs`` keeps them
-    by the bits of ``old`` in ``watch``), and ``next`` itself as the target.
-    ``succ(v)`` expands v in full.  A run from ``root`` reads, at step i, a
-    letter where the ``Atom`` literals of its transition's guard hold and
-    the ``Not`` literals fail; it accepts iff every bit of ``full`` recurs
-    infinitely often.  ``explored``, the one record of the built
-    transitions, maps each class whose expansion has begun to its
-    transitions so far, in expansion order; ``states`` is a view of it.
-    ``pairs`` holds each distinct (old, next) expansion met so far with its
-    transition, shared by every class that has it.  ``sides`` counts the
-    ``cover`` sides made; ``EngineLimitError`` is raised once it would pass
-    ``state_cap``, even inside one expansion, leaving it at the cap.
+    ``root`` is the set of the root formula alone.  Every other class is
+    found as the target of a transition, so all are reachable from ``root``
+    and emptiness needs no reachability pass.  A transition ``(guard, acc,
+    target)`` of a class is one tableau expansion (old, next) of it: the
+    literal bits of ``old`` (``literals`` decodes them), acceptance bit j
+    set iff the j-th Until of ``untils`` is not in ``old`` or its right side
+    is, and ``next`` itself.  A run from ``root`` reads, at step i, a letter
+    where the ``Atom`` literals of its transition's guard hold and the
+    ``Not`` literals fail; it accepts iff every bit of ``full`` recurs
+    infinitely often.
+
+    ``explored``, the one record of the built transitions, maps each class
+    whose expansion has begun to its transitions so far, in expansion
+    order.  ``sides`` counts the ``cover`` sides made; ``EngineLimitError``
+    is raised once it would pass ``state_cap``, even inside one expansion,
+    leaving it at the cap.  Caches: ``closures`` holds each rank's
+    ``_close``, ``accs`` the acceptance bits by the bits of ``old`` in
+    ``watch``, and ``pairs`` each distinct (old, next) met so far with its
+    transition, shared by every class that has it.
     """
 
     def __init__(self, f: Formula, state_cap: int = DEFAULT_STATE_CAP):
@@ -307,25 +287,22 @@ class Gba:
 
     @property
     def states(self) -> list[SimpleNamespace]:
-        """The expanded classes in expansion order, each with its transitions as ``succ``."""
+        """The expanded classes in expansion order, each with its transitions as
+        ``succ``: the view of ``explored`` that ``bench/tracer.py`` reads."""
         return [SimpleNamespace(succ=out) for out in self.explored.values()]
 
     def literals(self, guard: int) -> list[Formula]:
         """The ``Atom`` and ``Not`` nodes of a guard, by rank."""
         return [self.nodes[i] for i in _ids(guard)]
 
-    def succ(self, v: int) -> list[tuple[int, int, int]]:
-        """The transitions of class v, in ``cover`` order: v expanded in full,
-        from the start, whatever of it was built before."""
-        return list(self.cover(v))
-
     def _close(self, g: int) -> tuple[int, int, int, list[int]]:
-        """The deterministic closure of rank g, made on first use: the bits g
-        forces into ``old`` (the splitters it leaves among them: ``|``, ``U``
-        and an ``R`` with a live left side) and ``next`` without a split, the
-        ``later`` mask of the latter, and those splitters in push order, right
-        child last.  ``&``, ``X``, literals and ``G x`` (``false R x``) fold
-        in, ``true`` leaves nothing, and a hand-built ``x op x`` is x."""
+        """The deterministic closure of rank g: the bits g forces into ``old``
+        (the splitters it leaves among them: ``|``, ``U`` and an ``R`` with a
+        live left side) and ``next`` without a split, the ``later`` mask of the
+        latter, and those splitters in push order, right child last, so a side
+        pops only the nodes it splits on.  ``&``, ``X``, literals and ``G x``
+        (``false R x``) fold in, ``true`` leaves nothing, and a hand-built
+        ``x op x`` is x."""
         kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
         old, nxt, later, split, stack = 0, 0, 0, [], [g]
         while stack:
@@ -348,10 +325,9 @@ class Gba:
         return closure
 
     def cover(self, v: int) -> Iterator[tuple[int, int, int]]:
-        """Expand class v lazily: make its transitions, one per distinct (old,
-        next) expansion of its obligations, in order, each appended to
-        ``explored[v]`` and yielded, so a caller that stops reading builds no
-        more of v.
+        """Expand class v lazily: append each transition, one per distinct
+        (old, next) expansion of its obligations, to ``explored[v]`` as it is
+        made and yield it, so a caller that stops reading builds no more of v.
 
         A pending side is (new, old, done, next, need, later, push): a linked
         stack of splitters only, ``(top, rest)`` or ``()``, shared with the
@@ -362,16 +338,18 @@ class Gba:
         deterministic closures (``_close``) at once.  Every leaf holds
         ``need``, so a side whose ``need`` clashes has no leaf that lives and
         is not built; nor is one whose ``later`` clashes, as its ``next``
-        fails this very check.  A branch is held when its node is in ``old``,
-        which has all a taken-on closure forces and every splitter pushed; the
-        literals in ``need`` are not held, as a node's own are among them.  An
-        ``Or`` with a held branch, or an ``Until`` with a held right side, is
-        not split, and a ``Release`` with a held left side is its right side
-        alone.  Each skip rests on a strict subformula that the side asserts,
-        so skips cannot justify each other in a loop.  The live sides keep
-        their depth-first order, so results do too.  A side counts toward
-        ``state_cap`` when it is made, so the cap bounds the sides pending in
-        suspended expansions; an expansion run to its end pops all it makes.
+        would fail this very check: a class whose obligations clash has no
+        transition and lies on no run.  A branch is held when its node is in
+        ``old``, which has all a taken-on closure forces and every splitter
+        pushed; the literals in ``need`` are not held, as a node's own are
+        among them.  An ``Or`` with a held branch, or an ``Until`` with a held
+        right side, is not split, and a ``Release`` with a held left side is
+        its right side alone (syntactic implication, Daniele, Giunchiglia &
+        Vardi, CAV 1999).  Each skip rests on a strict subformula that the
+        side asserts, so skips cannot justify each other in a loop.  A side
+        counts toward ``state_cap`` when it is made, so the cap bounds the
+        sides pending in suspended expansions; an expansion run to its end
+        pops all it makes.
         """
         kind, left, right, must, m = self.kind, self.left, self.right, self.must, self.width
         closures, close, cap, pairs, accs = self.closures, self._close, self.state_cap, self.pairs, self.accs
@@ -452,21 +430,18 @@ def _ids(mask: int) -> list[int]:
     return ids
 
 
-build_gba = Gba     # the automaton of an NNF formula, no class expanded yet
+build_gba = Gba     # the automaton of an NNF formula, no class expanded yet; bench/tracer.py calls it
 
 
-def _accepting_component(gba: Gba) -> tuple[set[int], dict[int, int]] | None:
+def _accepting_component(gba: Gba) -> set[int] | None:
     """Couvreur's walk, iterative, from the root class, reading each class it
-    reaches from its ``cover`` only as far as it goes: a stack of SCC roots,
-    each with its live-stack position, the acceptance bits of the transition
-    into it and those of its partial SCC's internal transitions.  A transition
-    to a live class merges the roots above that class into the one below;
-    once that root's internal bits are ``full``, returns its open component
-    (the live stack from it up) and every visited class (mapped to its live
-    position, -1 once its SCC closed).  None if no SCC accepts.  The
-    suspended expansions refer to ``gba`` but live only on the walk's stack,
-    so every exit drops them and no cycle keeps ``gba`` alive."""
-    pos = {gba.root: 0}
+    reaches from its ``cover`` only as far as it goes.  A transition to a
+    live class merges the SCC roots above that class into the one below;
+    once that root's internal bits are ``full``, returns its open component,
+    the live stack from it up.  None if no SCC accepts.  The suspended
+    expansions refer to ``gba`` but live only on the walk's stack, so every
+    exit drops them and no cycle keeps ``gba`` alive."""
+    pos = {gba.root: 0}     # class -> its live position, -1 once its SCC closed
     live = [gba.root]
     roots = [[0, 0, 0]]     # [position on live, bits of the transition in, internal bits]
     work = [(gba.root, gba.cover(gba.root))]
@@ -486,7 +461,7 @@ def _accepting_component(gba: Gba) -> tuple[set[int], dict[int, int]] | None:
                     acc |= arc | bits
                 roots[-1][2] |= acc
                 if roots[-1][2] == gba.full:
-                    return set(live[roots[-1][0]:]), pos
+                    return set(live[roots[-1][0]:])
         else:
             work.pop()
             r = pos[v]
@@ -529,22 +504,21 @@ def find_accepting_lasso(gba: Gba) -> SatResult:
     """Unsat iff no SCC has internal transitions whose acceptance bits
     together are ``full`` (at least one transition, even when ``full`` is 0).
 
-    Otherwise a lasso read off the guards of a path from the root class,
-    through classes the walk visited, into the component that
-    ``_accepting_component`` stops at, and of a cycle inside it through every
-    acceptance bit; atoms a guard leaves free are false.  Both are read from
-    the transitions the walk built, and such paths exist: the walk's
-    depth-first path from the root reaches the component's root; Couvreur's
-    partial SCC is strongly connected through transitions the walk read; and
-    those transitions carry every bit of ``full``, as the walk found the bits
-    on them.  So the lasso builds nothing.  Raises ``EngineLimitError`` once
-    the walk's sides pass the state cap.
+    Otherwise a lasso read off the guards of a shortest path from the root
+    class into the component that ``_accepting_component`` returns, and of a
+    cycle inside it through every acceptance bit; atoms a guard leaves free
+    are false.  Both keep to ``explored``, so the lasso builds nothing, and
+    both exist: the walk starts the ``cover`` of each class it reaches
+    before it can return, so ``explored`` holds its depth-first path from
+    the root to the component's root; Couvreur's partial SCC is strongly
+    connected through transitions the walk read; and those carry every bit
+    of ``full``, as the walk found the bits on them.  Raises
+    ``EngineLimitError`` once the walk's sides pass the state cap.
     """
-    found = _accepting_component(gba)
-    if found is None:
+    inside = _accepting_component(gba)
+    if inside is None:
         return UNSAT
-    inside, visited = found
-    prefix = [] if gba.root in inside else _bfs(gba, gba.root, visited, lambda t: t[2] in inside)
+    prefix = [] if gba.root in inside else _bfs(gba, gba.root, gba.explored, lambda t: t[2] in inside)
     start = cur = prefix[-1][2] if prefix else gba.root
     cycle: list[tuple[int, int, int]] = []
     missing = gba.full

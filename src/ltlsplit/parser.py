@@ -173,7 +173,8 @@ def _checked_spec(env, sys_, formula: Formula, positions) -> Spec:
     under its base name, a declared name's under ``(kind, index)``."""
     env = tuple(env)
     sys_ = tuple(sys_)
-    declared = set(env) | set(sys_)
+    env_names = set(env)
+    declared = env_names | set(sys_)
     for a in sorted(atoms(formula), key=lambda a: (a.base, a.primed)):
         at = positions.get(a.base, (None, None))
         if a.primed:
@@ -181,13 +182,14 @@ def _checked_spec(env, sys_, formula: Formula, positions) -> Spec:
         if a.base not in declared:
             raise SpecError(f"undeclared atom {a.base!r}", *at)
     for names, kind in ((env, "env"), (sys_, "sys")):
+        first: dict[str, int] = {}
         for i, name in enumerate(names):
-            if names.index(name) < i:
+            if first.setdefault(name, i) < i:
                 raise SpecError(f"duplicate {kind} variable {name!r}",
                                 *positions.get((kind, i), (None, None)))
     for i, name in enumerate(sys_):
-        if name in env:
-            raise SpecError(f"variables declared both env and sys: {sorted(set(env) & set(sys_))}",
+        if name in env_names:
+            raise SpecError(f"variables declared both env and sys: {sorted(env_names & set(sys_))}",
                             *positions.get(("sys", i), (None, None)))
     return Spec(env, sys_, formula)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 
 import pytest
 
@@ -137,6 +138,16 @@ class TestParseSpec:
     def test_duplicate_declaration(self):
         with pytest.raises(SpecError, match="duplicate"):
             parse_spec("env: p p\nsys: a\nformula: a\n")
+
+    def test_declaration_checks_take_linear_time(self):
+        """The repeat of ``a0`` after 40,000 sys names is found at its own
+        position within 5 s; scanning the list for each name took 12 s."""
+        names = " ".join([f"a{i}" for i in range(40_000)] + ["a0"])
+        start = time.perf_counter()
+        with pytest.raises(SpecError) as err:
+            parse_spec(f"env: p\nsys: {names}\nformula: a0\n")
+        assert time.perf_counter() - start < 5.0
+        assert str(err.value) == "2:268896: duplicate sys variable 'a0'"
 
     def test_undeclared_atom_positioned(self):
         with pytest.raises(SpecError) as err:
