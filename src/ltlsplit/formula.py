@@ -100,6 +100,9 @@ class FalseF(Formula):
     __slots__ = ()
 
 
+IDENT = r"[A-Za-z_][A-Za-z0-9_]*"     # the pattern of an atom's base name
+
+
 class Atom(Formula):
     __slots__ = ("base", "primed")
     _fields = __slots__

@@ -19,6 +19,7 @@ import re
 
 from .formula import (
     FALSE,
+    IDENT,
     TRUE,
     Always,
     And,
@@ -38,14 +39,12 @@ from .formula import (
 
 RESERVED = frozenset({"true", "false", "G", "F", "X", "U", "R"})
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 _BLANKS = " \t\r"           # the only whitespace besides the newline, in formulas and headers
 
 # One token per match, every character covered: a newline, a run of blanks,
 # a comment to end of line, a symbol, an identifier with an optional prime,
 # or any other single character, which is an error.
-_TOKEN_RE = re.compile(rf"(\n)|[{_BLANKS}]+|#.*|(<->|->|[()&|!])|({_IDENT_RE.pattern})(')?|(.)")
+_TOKEN_RE = re.compile(rf"(\n)|[{_BLANKS}]+|#.*|(<->|->|[()&|!])|({IDENT})(')?|(.)")
 
 
 class SpecError(Exception):
@@ -224,7 +223,7 @@ def parse_spec(text: str) -> Spec:
                                     line_no, col)
                 if part in RESERVED:
                     raise SpecError(f"reserved word {part!r} used as a variable", line_no, col)
-                if not _IDENT_RE.fullmatch(part):
+                if not re.fullmatch(IDENT, part):
                     raise SpecError(f"invalid variable name {part!r}", line_no, col)
                 positions[kind, len(names[kind])] = line_no, col
                 names[kind].append(part)

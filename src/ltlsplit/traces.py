@@ -11,6 +11,7 @@ import operator
 import re
 
 from .formula import (
+    IDENT,
     Always,
     And,
     Atom,
@@ -29,11 +30,10 @@ from .formula import (
     postorder,
     print_formula,
 )
-from .parser import _IDENT_RE
 
 State = frozenset[Atom]
 
-_NAME_RE = re.compile(f"{_IDENT_RE.pattern}'?")     # an atom, at most once primed
+_NAME_RE = re.compile(f"{IDENT}'?")     # an atom, at most once primed
 
 
 def state(*names: str) -> State:
@@ -67,12 +67,6 @@ class LassoTrace(Record):
     def positions(self) -> int:
         """Number of distinct positions: |prefix| + |loop|."""
         return len(self.prefix) + len(self.loop)
-
-def _canon(trace: LassoTrace, i: int) -> int:
-    p = len(trace.prefix)
-    if i < p:
-        return i
-    return p + (i - p) % len(trace.loop)
 
 
 # on booleans, ``a -> b`` is ``a <= b``
@@ -134,7 +128,8 @@ def eval_formula(trace: LassoTrace, f: Formula, i: int = 0) -> bool:
     """Standard LTL semantics at position ``i`` of the infinite word."""
     if i < 0:
         raise ValueError("position must be nonnegative")
-    return _values(trace, f)[_canon(trace, i)]
+    p = len(trace.prefix)
+    return _values(trace, f)[i if i < p else p + (i - p) % len(trace.loop)]
 
 
 def compute_z(trace: LassoTrace, candidates) -> tuple[str, ...]:

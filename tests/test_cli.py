@@ -19,7 +19,7 @@ from ltlsplit.cli import EXIT_AUDIT, EXIT_ENGINE, EXIT_INPUT, EXIT_OK, main
 from ltlsplit.decompose import InvariantViolation
 from ltlsplit.engine import DEFAULT_STATE_CAP, WitnessSoundnessError
 from ltlsplit.formula import print_formula
-from helpers import random_spec, spec_text
+from helpers import FIXTURES, random_spec, spec_text
 
 
 @pytest.fixture
@@ -317,7 +317,8 @@ class TestMain:
 
 # Spec texts for the exit-code guarantee: token soup over the spec grammar's
 # words and a few stray characters, seeded random corpus specs, half of them
-# with one token spliced in at a random place, and raw bytes.
+# with one token spliced in at a random place, raw bytes, and the fixtures
+# and chain3 as they are, whose queries run out of the small caps.
 _TOKENS = ["env:", "sys:", "formula:", "p", "q", "a0", "a1", "a0'", "true", "false", "G", "F",
            "X", "U", "R", "(", ")", "&", "|", "!", "->", "<->", ":", "#", "'", "\u00e9", "\x00",
            " ", "\t", "\n"]
@@ -334,7 +335,10 @@ _spec_texts = st.one_of(
     st.lists(st.sampled_from(_TOKENS), max_size=30).map(lambda ts: "".join(ts).encode()),
     st.builds(_spliced, st.integers(0, 2 ** 32).map(random.Random), st.integers(0, 200),
               st.one_of(st.just(""), st.sampled_from(_TOKENS))),
-    st.binary(max_size=60))
+    st.binary(max_size=60),
+    st.sampled_from([*map(spec_text, sorted(FIXTURES)),
+                     "env: p\nsys: a0 a1 a2\nformula: G((p -> X a0) & (a0 -> X a1) & (a1 -> X a2))\n"])
+    .map(str.encode))
 
 
 @settings(max_examples=500, deadline=None,

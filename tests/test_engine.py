@@ -57,13 +57,9 @@ INTRO_PHI = parse_formula(
 
 
 # SHA-256 of ``print_formula(to_nnf(f))``, one line per formula, over the
-# formulas of ``TestNnf.test_output_is_pinned``; recorded at commit a8aa851,
-# before ``to_nnf`` became one pass, and kept by it; re-recorded when
-# ``to_nnf`` began to slice each conjunct !g down to the conjuncts of g that
-# the query does not assert, and to build x for x & x, x | x, x U x and x R x;
-# re-recorded when ``to_nnf`` began to read x -> x and x <-> x as ``TRUE`` and
-# to carry ``TRUE`` and ``FALSE`` through the nodes it builds, which changes
-# the output of every draw with such a node or a constant under a connective.
+# formulas of ``TestNnf.test_output_is_pinned``.  It moves when ``to_nnf``
+# slices, folds or desugars some formula otherwise, and when the partition
+# queries of the fixtures or ``chain3``, which it also hashes, change.
 NNF_DIGEST = "9cd9b32e0f25ac7ffbccc981748900d1f84f2ccc12f020cba347894ed599796a"
 
 
@@ -539,25 +535,11 @@ class TestBuildGba:
         assert (g1.nodes, g1.full, g1.pairs, g1.sides) == (g2.nodes, g2.full, g2.pairs, g2.sides)
 
 
-# SHA-256, per spec, of every automaton ``partition`` builds for it, as
-# recorded when the automaton moved to transitions over next-obligation
-# classes, re-recorded when ``to_nnf`` began to give ``FALSE`` (one class,
-# no transition) for a query whose conjuncts hold some !g next to all of g's,
-# again when ``cover`` stopped splitting a node whose branch the side
-# already holds, and again when ``to_nnf`` began to slice each !g down to
-# the conjuncts of g that the query does not assert and to build x for
-# x & x, x | x, x U x and x R x.  "corpus" was re-recorded when the
-# emptiness check began to stop at the first accepting partial SCC: draw
-# 98's witnesses lead ``partition`` to other queries, so it builds other
-# automata; every other spec's automata are unchanged.  "intro", "pair",
-# "chain3" and "corpus" were re-recorded when ``cover`` began to drop a side
-# whose next obligations clash, so no transition leads to a class with none,
-# and "corpus" again for ``to_nnf``'s reading of x -> x and x <-> x as
-# ``TRUE`` (draw 51); every query, verdict and witness is unchanged.  "pair"
-# and "corpus" were re-recorded when ``cover`` began to take on each node's
-# deterministic closure at once, so a branch inside a pending ``&`` counts as
-# held: "pair" has 2 transitions instead of 3, two corpus queries lose 127
-# and 113 dominated transitions, and every class count is unchanged.
+# SHA-256, per spec, of every automaton ``partition`` builds for it, with
+# every class expanded in full (``_DigestingSolver``).  It holds across a
+# change of the tableau's representation that keeps every class and
+# transition, and moves when a tableau rule adds or drops a transition, or
+# when a witness leads ``partition`` to other queries.
 AUTOMATON_DIGESTS = {
     "chain3": "32e4e6db86f4fd98f80c4d6a20a2a8773defecda983bf7d831a1a206b6ff05fc",
     "corpus": "7a929ada32dd5af1549b74ebd9c541bd2f02977dc12f8746e67c13e8293fba3c",
@@ -626,8 +608,8 @@ def test_partition_automata_are_pinned(name):
     every class expanded breadth-first from the root, classes in the same
     order, with the same transitions (guard, acceptance bits, target as a
     position in that order) and the same
-    number of distinct (old, next) pairs.  A change meant to alter automata (ROADMAP items
-    3-5) updates these digests and names, in CHANGES.md, the witnesses that
+    number of distinct (old, next) pairs.  A change meant to alter automata
+    updates these digests and names, in CHANGES.md, the witnesses that
     changed.
     """
     solver = _DigestingSolver()
@@ -637,9 +619,7 @@ def test_partition_automata_are_pinned(name):
 
 
 # SHA-256 of the printed query log and verdicts of every ``partition`` run
-# over the fixtures, the extra specs and the pinned corpus draws, recorded at
-# commit 8baea91, and re-recorded when the emptiness check began to stop at
-# the first accepting partial SCC, which changes draw 98's query sequence.
+# over the fixtures, the extra specs and the pinned corpus draws.
 # It reads no automaton and no witness, so it holds across changes of the
 # engine's representation that keep every query and verdict.
 QUERY_LOG_DIGEST = "5e785d1605a744bd8138696be09ca80abd6ecbab0a8fcca0ffcd7599ca05f6d7"
@@ -657,16 +637,8 @@ def test_partition_query_logs_are_pinned():
 # SHA-256 of the blocks, in order, and the printed query log and verdicts of
 # ``partition`` at cap 30,000 for all 201 raw draws of the corpus seeds
 # 20240817 and 7; a draw that runs out of budget (draw 93 of the first seed)
-# is one ``LIMIT`` line.  Recorded at commit 7c555f7, before each !g was
-# sliced down to the conjuncts of g that the query does not assert, and
-# re-recorded when the emptiness check began to stop at the first accepting
-# partial SCC: draw 98 of seed 20240817 lists its block as a0, a2, a3, a1
-# instead of a0, a3, a2, a1, with another query sequence.  Re-recorded when
-# a class began to be built only as far as the emptiness walk reads it:
-# the lasso's prefix keeps to the transitions the walk built, so some
-# witnesses moved, and with them the first disagreeing variable of draws 71
-# and 142 of seed 7, which list a block as a1, a3, a2 (was a1, a2, a3) and
-# a0, a3, a2 (was a0, a2, a3), each with another query sequence.
+# is one ``LIMIT`` line.  A witness with another first disagreeing variable
+# moves it, as the block then grows in another order, through other queries.
 WHOLE_CORPUS_DIGEST = "699a7e6ac5998248c0863e752aa14ef3a23d2cf29eb7216a3da5033947213ea2"
 
 
@@ -695,19 +667,10 @@ def test_whole_corpus_partitions_are_pinned():
 # of each spec: the fixtures, chain3, chain4 and resp3 at the default cap, and
 # the decided raw draws of each corpus seed at cap 30,000 (draw 93 of seed
 # 20240817 ends at the cap and is left out); and the SHA-256 of every witness
-# of those queries as ``format_trace`` text, in query order.  Recorded before
-# the tableau's two literal tables became one mask, and kept by it.  The
-# totals were re-recorded when ``cover`` began to take on each node's
-# deterministic closure at once: a side whose next obligations clash through
-# a closure is no longer built and counted, and a branch inside a pending
-# ``&`` counts as held (intro 1,304, pair 15, chain3 2,970, chain4 35,028,
-# seed 20240817 27,871 and seed 7 6,169 before); the witnesses are unchanged.
-# Both were re-recorded when a class began to be built only as far as the
-# emptiness walk reads it, with each side counted when it is made: the
-# totals fell (intro 862, triple 114, not_ind 67, surprise 169, chain3
-# 2,672, chain4 32,052, seed 20240817 25,452 and seed 7 5,448 before), and
-# the lasso's prefix now keeps to the transitions the walk built, so 86
-# witnesses of 57 specs changed.
+# of those queries as ``format_trace`` text, in query order.  Sides are
+# exact and do not depend on the host, so the totals measure the tableau's
+# work: a change that prunes sides, or lets the walk read other ones, moves
+# them, and one that moves a witness moves the digest.
 SIDE_TOTALS = {
     "intro": 824, "pair": 6, "triple": 54, "tail": 1_028, "not_ind": 32,
     "surprise": 68, "chain3": 781, "chain4": 5_064, "resp3": 0,
