@@ -9,11 +9,11 @@ confirmed one at a time by locking them and re-solving.
 from __future__ import annotations
 
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import combinations
 
 from .engine import UNSAT, InternalSolver, SatResult
-from .formula import Formula, Record, dependence_query, lock_conjunct
+from .formula import Formula, dependence_query, lock_conjunct
 from .parser import Spec
 from .traces import LassoTrace, compute_z
 
@@ -21,20 +21,18 @@ class InvariantViolation(Exception):
     """A Sat witness yielded an empty disagreement set; engine soundness bug."""
 
 
-class QueryRecord(Record):
-    formula: Formula
-    verdict: str                       # "SAT" or "UNSAT"
-    witness: LassoTrace | None
-    millis: float
+# One solver query: its formula, "SAT" or "UNSAT", the witness of a Sat
+# answer (else None), and its wall time in milliseconds.
+QueryRecord = namedtuple("QueryRecord", "formula verdict witness millis")
+
+Block = namedtuple("Block", "vars")     # a tuple of system variable names
 
 
-class Block(Record):
-    vars: tuple[str, ...]
+class PartitionResult(namedtuple("PartitionResult", "blocks query_log")):
+    """The blocks, a list of ``Block``, and the ``QueryRecord`` of every
+    solver query that found them, in the order they were asked."""
 
-
-class PartitionResult(Record):
-    blocks: list[Block]
-    query_log: list[QueryRecord]
+    __slots__ = ()
 
     @property
     def query_count(self) -> int:
@@ -115,26 +113,34 @@ def partition(spec: Spec, solver=None) -> PartitionResult:
     return PartitionResult(blocks, log)
 
 
-class SubsetAudit(Record):
-    subset: tuple[str, ...]
-    dependent: bool
-    witness: LassoTrace | None
+# A proper subset of a block, whether it depends on the rest of sys, and
+# the witness of that dependence (else None).
+SubsetAudit = namedtuple("SubsetAudit", "subset dependent witness")
+
+# A block's variables, whether they are independent of the rest of sys,
+# the witness against it (else None), and a list of ``SubsetAudit``, one
+# per proper subset when minimality is audited.
+BlockAudit = namedtuple("BlockAudit", "vars sound witness minimality")
 
 
-class BlockAudit(Record):
-    vars: tuple[str, ...]
-    sound: bool
-    witness: LassoTrace | None
-    minimality: list[SubsetAudit]
+class VerificationReport(namedtuple("VerificationReport", "block_audits")):
+    """A list of ``BlockAudit``, one per block, and their verdicts."""
 
+    __slots__ = ()
 
-class VerificationReport(Record):
-    block_audits: list[BlockAudit]
+    @property
+    def sound(self) -> bool:
+        """Every block is independent of the rest of sys."""
+        return all(audit.sound for audit in self.block_audits)
+
+    @property
+    def minimal(self) -> bool:
+        """Every audited proper subset of a block depends on the rest."""
+        return all(sub.dependent for audit in self.block_audits for sub in audit.minimality)
 
     @property
     def ok(self) -> bool:
-        return all(audit.sound and all(sub.dependent for sub in audit.minimality)
-                   for audit in self.block_audits)
+        return self.sound and self.minimal
 
 
 def verify_partition(spec: Spec, result: PartitionResult, solver=None,

@@ -16,6 +16,7 @@ starts processes.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from types import SimpleNamespace
 
@@ -33,7 +34,6 @@ from .formula import (
     Next,
     Not,
     Or,
-    Record,
     Release,
     TrueF,
     Until,
@@ -59,10 +59,11 @@ class ExternalSolverError(Exception):
     """The external solver child failed or produced an unusable answer."""
 
 
-class SatResult(Record):
-    """Either Unsat, or Sat carrying a lasso model of the queried formula."""
+class SatResult(namedtuple("SatResult", "witness")):
+    """Either Unsat, with ``witness`` None, or Sat carrying a lasso model
+    of the queried formula as ``witness``, a ``LassoTrace``."""
 
-    witness: LassoTrace | None
+    __slots__ = ()
 
     @property
     def is_sat(self) -> bool:

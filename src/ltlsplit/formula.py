@@ -2,7 +2,7 @@
 
 Atoms carry a ``primed`` flag rather than a name suffix, so the fresh
 variables introduced by projection renaming can never collide with a
-declared variable.  ``Record`` is the base of the package's value types.
+declared variable.
 """
 
 from __future__ import annotations
@@ -292,45 +292,3 @@ def print_formula(f: Formula) -> str:
             out.append(_CONSTANT[cls])
     return "".join(out)
 
-
-class Record:
-    """A value type over the fields its class annotates, after its parent's,
-    as a dataclass reads them but without that module's import cost.  Each
-    class gets an ``__init__`` written out for its fields, as a dataclass
-    does, so Python binds them and a record costs what a plain object does
-    to build; a class that writes or inherits its own ``__init__`` calls
-    that one as ``_init``.  ``==``, ``hash``, ``repr`` and positional
-    ``match`` go field by field.  Every record refuses assignment; one that
-    holds a list raises ``TypeError`` on ``hash``, as a frozen dataclass does."""
-
-    _fields = ()
-
-    def __init_subclass__(cls):
-        # on 3.10+ a class's ``__annotations__`` holds its own fields only
-        cls._fields = cls.__match_args__ = cls._fields + tuple(cls.__annotations__)
-        args = ", ".join(("self",) + cls._fields)
-        body = "".join(f"\n    set(self, {name!r}, {name})" for name in cls._fields)
-        scope = {"set": object.__setattr__}
-        exec(f"def __init__({args}):{body or ' pass'}", scope)
-        if cls.__init__ in (object.__init__, getattr(cls, "_init", None)):  # none written out
-            cls.__init__ = scope["__init__"]
-        cls._init = scope["__init__"]
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ \
-            else NotImplemented
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __setattr__(self, *args):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__

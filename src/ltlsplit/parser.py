@@ -16,6 +16,7 @@ declared variable names may not carry one.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 
 from .formula import (
     FALSE,
@@ -31,7 +32,6 @@ from .formula import (
     Next,
     Not,
     Or,
-    Record,
     Release,
     Until,
     atoms,
@@ -154,12 +154,11 @@ def parse_formula(text: str) -> Formula:
     return _parse(_tokenize(text), {})
 
 
-class Spec(Record):
-    """A reactive-synthesis specification: env/sys variables and a formula."""
+class Spec(namedtuple("Spec", "env sys formula")):
+    """A reactive-synthesis specification: env/sys variables, each a tuple
+    of names, and a formula."""
 
-    env: tuple[str, ...]
-    sys: tuple[str, ...]
-    formula: Formula
+    __slots__ = ()
 
 
 def make_spec(env, sys_, formula: Formula) -> Spec:

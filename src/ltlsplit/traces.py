@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import operator
 import re
+from collections import namedtuple
 
 from .formula import (
     IDENT,
@@ -23,7 +24,6 @@ from .formula import (
     Next,
     Not,
     Or,
-    Record,
     Release,
     TrueF,
     Until,
@@ -47,14 +47,19 @@ def state(*names: str) -> State:
     return frozenset(out)
 
 
-class LassoTrace(Record):
-    prefix: tuple[State, ...]
-    loop: tuple[State, ...]
+class LassoTrace(namedtuple("LassoTrace", "prefix loop")):
+    """The trace ``prefix . loop^omega``, each part a tuple of states."""
 
-    def __init__(self, prefix: tuple[State, ...], loop: tuple[State, ...]):
+    __slots__ = ()
+
+    def __new__(cls, prefix: tuple[State, ...], loop: tuple[State, ...]):
         if not loop:
             raise ValueError("lasso loop must be nonempty")
-        self._init(prefix, loop)
+        return super().__new__(cls, prefix, loop)
+
+    @classmethod
+    def _make(cls, iterable):       # ``_replace`` builds through it; check the loop there too
+        return cls(*iterable)
 
     def state_at(self, i: int) -> State:
         if i < 0:

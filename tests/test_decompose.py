@@ -250,7 +250,7 @@ class TestVerifyPartition:
         lumped = PartitionResult(
             [Block(("a", "b"))], [])
         report = verify_partition(spec, lumped, SOLVER, minimality=True)
-        assert not report.ok
+        assert (report.sound, report.minimal, report.ok) == (True, False, False)
         audit = report.block_audits[0]
         assert audit.sound is True  # the lumped block is still independent
         assert any(not sub.dependent for sub in audit.minimality)
@@ -260,7 +260,7 @@ class TestVerifyPartition:
         wrong = PartitionResult(
             [Block(("a",)), Block(("b", "c"))], [])
         report = verify_partition(spec, wrong, SOLVER)
-        assert not report.ok
+        assert (report.sound, report.minimal, report.ok) == (False, True, False)
         assert all(a.sound is False and a.witness is not None
                    for a in report.block_audits)
 

@@ -10,7 +10,9 @@ import pytest
 
 import ltlsplit
 from ltlsplit import Block, LassoTrace, SatResult, Spec, parse_formula, state
-from ltlsplit.decompose import PartitionResult, QueryRecord, SubsetAudit
+from ltlsplit.decompose import (
+    BlockAudit, PartitionResult, QueryRecord, SubsetAudit, VerificationReport,
+)
 
 # Modules that only ``@dataclass`` and the external solver's child process
 # pulled in; none of them may load with the package or its CLI.
@@ -32,18 +34,33 @@ def test_external_solver_is_exported_on_first_use():
         ltlsplit.no_such_name
 
 
-@pytest.mark.parametrize("module", ["ltlsplit", "ltlsplit.cli"])
-def test_import_loads_no_dataclass_or_process_machinery(module):
-    # A fresh interpreter, and only what the import adds: the host's site
-    # imports are already in sys.modules before it.
-    code = ("import sys; before = set(sys.modules); import " + module + "; "
-            "print(*sorted(set(sys.modules) - before))")
+def _fresh_python(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter on this package."""
     env = dict(os.environ, PYTHONPATH=str(Path(ltlsplit.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True, timeout=60)
-    added = set(proc.stdout.split())
+    return proc.stdout
+
+
+@pytest.mark.parametrize("module", ["ltlsplit", "ltlsplit.cli"])
+def test_import_loads_no_dataclass_or_process_machinery(module):
+    # Only what the import adds: the host's site imports are already in
+    # sys.modules before it.
+    added = set(_fresh_python("import sys; before = set(sys.modules); import " + module + "; "
+                              "print(*sorted(set(sys.modules) - before))").split())
     assert module in added
     assert not added & set(NOT_AT_IMPORT), sorted(added & set(NOT_AT_IMPORT))
+
+
+def test_every_module_imports_without_numpy():
+    # numpy is for the test oracle only; ltlsplit.external is walked too.
+    names = _fresh_python(
+        "import importlib, pkgutil, sys, ltlsplit\n"
+        "for module in pkgutil.walk_packages(ltlsplit.__path__, 'ltlsplit.'):\n"
+        "    importlib.import_module(module.name)\n"
+        "    print(module.name)\n"
+        "assert 'numpy' not in sys.modules, 'a runtime module imports numpy'\n").split()
+    assert "ltlsplit.external" in names and "ltlsplit.cli" in names
 
 
 # Each value type with a function that builds its fields afresh, so that two
@@ -58,6 +75,16 @@ RECORDS = {
     SubsetAudit: lambda: (tuple(["a"]), True, LassoTrace((), (state("a"),))),
 }
 
+# The value types that hold a list, and so cannot hash, built the same way.
+LIST_RECORDS = {
+    PartitionResult: lambda: ([Block(("a",))],
+                              [QueryRecord(parse_formula("a"), "UNSAT", None, 0.5)]),
+    BlockAudit: lambda: (("a", "b"), True, None,
+                         [SubsetAudit(("a",), True, LassoTrace((), (state("a"),)))]),
+    VerificationReport: lambda: ([BlockAudit(("a",), True, None, [])],),
+}
+ALL_RECORDS = {**RECORDS, **LIST_RECORDS}
+
 
 class TestRecords:
     @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -68,15 +95,15 @@ class TestRecords:
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
 
-    @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+    @pytest.mark.parametrize("cls", ALL_RECORDS, ids=lambda cls: cls.__name__)
     def test_fields_cannot_be_assigned(self, cls):
-        record = cls(*RECORDS[cls]())
-        for name, value in zip(cls._fields, RECORDS[cls]()):
+        record = cls(*ALL_RECORDS[cls]())
+        for name, value in zip(cls._fields, ALL_RECORDS[cls]()):
             with pytest.raises(AttributeError):
                 setattr(record, name, value)
             with pytest.raises(AttributeError):
                 delattr(record, name)
-        assert record == cls(*RECORDS[cls]())
+        assert record == cls(*ALL_RECORDS[cls]())
 
     def test_a_different_field_or_class_is_unequal(self):
         assert Block(("a",)) != Block(("b",))
@@ -95,7 +122,7 @@ class TestRecords:
                                               ((), {"var": ("a",)})],
                              ids=["missing", "extra", "twice", "unknown"])
     def test_wrong_fields_raise_type_error(self, args, kwargs):
-        with pytest.raises(TypeError, match="__init__"):
+        with pytest.raises(TypeError, match="__new__"):
             Block(*args, **kwargs)
 
     def test_a_subclass_keeps_its_parents_fields(self):
@@ -105,17 +132,7 @@ class TestRecords:
         a, b = MyBlock(("a",)), MyBlock(vars=("a",))
         assert MyBlock._fields == ("vars",)
         assert a == b and hash(a) == hash(b)
-        assert a != Block(("a",))
         assert repr(a).endswith("MyBlock(vars=('a',))")
-
-    def test_a_subclass_adds_its_fields_after_its_parents(self):
-        class Tagged(Block):
-            tag: str
-
-        record = Tagged(("a",), "t")
-        assert Tagged._fields == ("vars", "tag")
-        assert (record.vars, record.tag) == (("a",), "t")
-        assert record != Tagged(("a",), "u")
 
     def test_a_subclass_keeps_a_written_out_init(self):
         class MyTrace(LassoTrace):

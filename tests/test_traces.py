@@ -40,6 +40,10 @@ class TestLassoTrace:
     def test_loop_nonempty(self):
         with pytest.raises(ValueError):
             LassoTrace((), ())
+        with pytest.raises(ValueError):
+            LassoTrace._make(((), ()))
+        with pytest.raises(ValueError):
+            lasso([], [state("a")])._replace(loop=())
 
     def test_unroll_same_word(self):
         t = lasso([state("a")], [state("b"), state("c")])
